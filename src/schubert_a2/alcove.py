@@ -41,10 +41,6 @@ def root_negate(a):
     return (-a[0], -a[1])
 
 
-def is_positive_root(a):
-    return a in POSITIVE_ROOTS
-
-
 def pairing(point, root):
     """Scaled pairing 3*(v, a) of a scaled point with a root."""
     return root[0] * point[0] + root[1] * point[1]

@@ -247,11 +247,6 @@ def shell_index(h, x):
     return m // 3
 
 
-def shell_members(h, k):
-    """All interval elements on the k-shell."""
-    return {x for x in interval(h.owner) if shell_index(h, x) == k}
-
-
 # ---------------------------------------------------------------------------
 # Diagonals and special segments (odd-chamber hexagons).
 
@@ -332,10 +327,6 @@ def diagonals_and_special(hexagon_):
     edges = special_edges(hexagon_)
     segments = [special_segment(hexagon_, edge) for edge in edges]
     return diagonals, edges, segments
-
-
-def edge_alcove_count(hexagon_, i):
-    return len(hexagon_.edge(i))
 
 
 def hexagon_to_dict(hexagon_):

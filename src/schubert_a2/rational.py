@@ -1,17 +1,27 @@
 """Sparse exact arithmetic for the rational functions of the smoothness test.
 
 Polynomials live in three variables b0, b1, b2 with integer coefficients,
-stored as maps from exponent triples to coefficients.  A RationalNF is a
-polynomial numerator over a multiset of integer linear forms (one per
-denominator factor), kept fully cancelled: no denominator form divides the
-numerator.  Distinct forms are non-associate primes in Z[b0,b1,b2], so this
-normal form is unique; equality is nevertheless decided by exact
-cross-multiplication.
+stored as maps from exponent triples to nonzero coefficients.  A RationalNF
+is a polynomial numerator over a sorted multiset of positive real roots,
+each an integer linear form (one per denominator factor), kept fully
+cancelled: no denominator form divides the numerator.  Distinct forms are
+non-associate primes in the UFD Z[b0,b1,b2], so this normal form is
+unique; equality is nevertheless decided by exact cross-multiplication.
+
+All arithmetic is on integers.  Real roots are primitive forms, so by
+Gauss's lemma an exact quotient by one is integral, and long division
+(p_div_form) can stop at the first leading coefficient the pivot
+coefficient does not divide.  Keeping values cancelled is cheap because a
+cancelled numerator limits what can cancel next:
+  * a form that does not divide a polynomial does not divide any quotient of
+    it, so one pass over the distinct forms cancels a fraction completely;
+  * dividing a cancelled value by a form needs one trial division, by that
+    form only;
+  * in a sum, only forms both addends carry equally often can cancel.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 
 ZERO_EXP = (0, 0, 0)
 
@@ -87,48 +97,49 @@ def p_mul_form(a, form):
 def p_div_form(a, form):
     """Exact quotient a / form, or None when the form does not divide a.
 
-    Linear forms coming from real roots are primitive, so an exact rational
-    quotient is automatically integral.
+    Long division in the pivot variable, integers only.  Real roots are
+    primitive forms, so by Gauss's lemma a quotient that exists is integral:
+    the first leading coefficient the pivot coefficient does not divide
+    proves the form does not divide a.
     """
     if not a:
         return {}
-    pivot = None
-    for i, c in enumerate(form):
-        if c in (1, -1):
-            pivot = i
+    # divide in a variable with a unit coefficient if there is one
+    for pivot, cp in enumerate(form):
+        if cp in (1, -1):
             break
-    if pivot is None:
-        pivot = next(i for i, c in enumerate(form) if c)
-    cp = form[pivot]
-    rest = [(i, c) for i, c in enumerate(form) if c and i != pivot]
-    work = {e: Fraction(c) for e, c in a.items()}
+    else:
+        pivot, cp = next((i, c) for i, c in enumerate(form) if c)
+    q0, q1, q2 = (-(i == pivot) for i in range(3))
+    # b^e -> b^e * b_i / b_pivot, with the coefficient of b_i in the form
+    rest = [
+        (q0 + (i == 0), q1 + (i == 1), q2 + (i == 2), k)
+        for i, k in enumerate(form)
+        if k and i != pivot
+    ]
+    # terms by degree in the pivot: dividing out degree m only touches m - 1
+    layers = {}
+    for e, c in a.items():
+        layers.setdefault(e[pivot], {})[e] = c
     quot = {}
-    while True:
-        # reducing degree m can create degree m-1 terms, so rescan each round
-        m = max((e[pivot] for e, c in work.items() if c), default=0)
-        if m == 0:
-            break
-        for e in [e for e, c in work.items() if e[pivot] == m and c]:
-            c = work.pop(e)
-            qe = list(e)
-            qe[pivot] -= 1
-            qe = tuple(qe)
-            qc = c / cp
-            quot[qe] = quot.get(qe, 0) + qc
-            # subtract qc * b^qe * (form - cp*b_pivot)
-            for i, k in rest:
-                e2 = list(qe)
-                e2[i] += 1
-                e2 = tuple(e2)
-                work[e2] = work.get(e2, 0) - qc * k
-    if any(work.values()):
-        return None
-    out = {}
-    for e, c in quot.items():
-        if c:
-            assert c.denominator == 1, "non-integral quotient by primitive form"
-            out[e] = int(c)
-    return out
+    for m in range(max(layers), 0, -1):
+        layer = layers.get(m)
+        if not layer:
+            continue
+        lower = layers.setdefault(m - 1, {})
+        for (e0, e1, e2), c in layer.items():
+            q, r = divmod(c, cp)
+            if r:
+                return None
+            quot[(e0 + q0, e1 + q1, e2 + q2)] = q
+            for d0, d1, d2, k in rest:
+                t = (e0 + d0, e1 + d1, e2 + d2)
+                s = lower.get(t, 0) - q * k
+                if s:
+                    lower[t] = s
+                else:
+                    del lower[t]
+    return None if layers.get(0) else quot
 
 
 def _term_key(e):
@@ -165,7 +176,11 @@ def p_str(p, names=("b0", "b1", "b2")):
 
 
 class RationalNF:
-    """Numerator polynomial over a multiset of positive linear forms."""
+    """Numerator polynomial over a sorted multiset of positive linear forms.
+
+    normalize=False skips cancellation: the caller vouches that den is
+    sorted and no form in it divides num.
+    """
 
     __slots__ = ("num", "den")
 
@@ -197,14 +212,11 @@ class RationalNF:
         return RationalNF(p_neg(self.num), self.den, normalize=False)
 
     def __add__(self, other):
-        den = _multiset_union(self.den, other.den)
-        a = self.num
-        for f in _multiset_diff(den, self.den):
-            a = p_mul_form(a, f)
-        b = other.num
-        for f in _multiset_diff(den, other.den):
-            b = p_mul_form(b, f)
-        return RationalNF(p_add(a, b), den)
+        den, a, b, shared = _over_common_den(self, other)
+        num = p_add(a, b)
+        if not num:
+            return RationalNF.zero()
+        return RationalNF(*_cancel(num, den, shared), normalize=False)
 
     def __sub__(self, other):
         return self + (-other)
@@ -216,22 +228,20 @@ class RationalNF:
         )
 
     def divided_by_form(self, form):
+        # self is cancelled, so only the new form can divide its numerator
         form, sign = _positive_form(form)
-        return RationalNF(
-            p_scale(self.num, sign), tuple(sorted(self.den + (form,)))
-        )
+        num = p_scale(self.num, sign)
+        q = p_div_form(num, form)
+        if q is not None:
+            return RationalNF(q, self.den, normalize=False)
+        return RationalNF(num, tuple(sorted(self.den + (form,))), normalize=False)
 
     def __eq__(self, other):
         if not isinstance(other, RationalNF):
             return NotImplemented
         if self.num == other.num and self.den == other.den:
             return True
-        a = self.num
-        for f in _multiset_diff(other.den, self.den):
-            a = p_mul_form(a, f)
-        b = other.num
-        for f in _multiset_diff(self.den, other.den):
-            b = p_mul_form(b, f)
+        _, a, b, _ = _over_common_den(self, other)
         return a == b
 
     def __hash__(self):
@@ -279,31 +289,50 @@ def _positive_form(form):
     raise ValueError("mixed-sign linear form %r is not a real root" % (form,))
 
 
-def _multiset_union(a, b):
-    out = {}
-    for f in set(a) | set(b):
-        out[f] = max(a.count(f), b.count(f))
-    return tuple(sorted(f for f, n in out.items() for _ in range(n)))
+def _over_common_den(x, y):
+    """(den, a, b, shared): x = a / den and y = b / den, where den is the
+    multiset union (least common multiple) of the two denominators, and
+    shared holds the forms x and y carry equally often.
+
+    Only a shared form can divide a + b.  A form f that x carries more often
+    than y divides b but not a: it divides neither x.num, which is
+    cancelled, nor the other forms, which are primes not associate to f.
+    """
+    a, b = x.num, y.num
+    if x.den == y.den:
+        return x.den, a, b, set(x.den)
+    only_y = list(y.den)
+    only_x = []
+    for f in x.den:
+        if f in only_y:
+            only_y.remove(f)
+        else:
+            only_x.append(f)
+    for f in only_y:
+        a = p_mul_form(a, f)
+    for f in only_x:
+        b = p_mul_form(b, f)
+    shared = set(x.den).difference(only_x, only_y)
+    return tuple(sorted(x.den + tuple(only_y))), a, b, shared
 
 
-def _multiset_diff(a, b):
-    out = list(a)
-    for f in b:
-        out.remove(f)
-    return tuple(out)
+def _cancel(num, den, forms):
+    """Divide num by each of the distinct forms while it divides, each at
+    most as often as the sorted den carries it; return the quotient and
+    what is left of den.  One pass suffices: a form that does not divide
+    num does not divide a quotient of num either."""
+    den = list(den)
+    for f in forms:
+        while f in den:
+            q = p_div_form(num, f)
+            if q is None:
+                break
+            num = q
+            den.remove(f)
+    return num, tuple(den)
 
 
 def _normalize(num, den):
     if p_is_zero(num):
         return {}, ()
-    den = list(den)
-    changed = True
-    while changed:
-        changed = False
-        for f in sorted(set(den)):
-            q = p_div_form(num, f)
-            if q is not None:
-                num = q
-                den.remove(f)
-                changed = True
-    return num, tuple(sorted(den))
+    return _cancel(num, sorted(den), set(den))

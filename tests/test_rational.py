@@ -1,0 +1,171 @@
+"""Exact rational functions: regressions and properties of RationalNF.
+
+The property tests draw numerators at random and denominators from positive
+real roots, so two values often have disjoint denominators.  Divisibility
+and equality are checked against references that share no code with
+p_div_form or RationalNF: a linear form divides a polynomial exactly when
+the polynomial vanishes on the form's hyperplane, and two fractions are
+equal exactly when cross-multiplying by the full denominator products gives
+the same polynomial.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from schubert_a2.kumar import BETA, is_positive_real_root, simple_root_action
+from schubert_a2.rational import RationalNF, form_poly, p_div_form, p_mul
+
+# alpha + n*delta for the finite roots alpha = b1, b2, b1 + b2
+ROOTS = [
+    tuple(c + n for c in base)
+    for n in range(4)
+    for base in ((0, 1, 0), (0, 0, 1), (0, 1, 1), (0, -1, 0), (0, 0, -1), (0, -1, -1))
+    if n or base[1] + base[2] > 0
+]
+
+forms = st.sampled_from(ROOTS)
+polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3), st.integers(-3, 3).filter(bool), max_size=4
+)
+
+
+@st.composite
+def rationals(draw):
+    """A value over up to five root factors, some of which cancel."""
+    num = draw(polys)
+    cancelling = draw(st.lists(forms, max_size=2))
+    for f in cancelling:
+        num = p_mul(num, form_poly(f))
+    den = draw(st.lists(forms, max_size=3)) + cancelling
+    return RationalNF(num, tuple(den))
+
+
+def vanishes_on_hyperplane(num, form):
+    """Substitute b_p = -(sum of c_i b_i, i != p) / c_p and expand."""
+    p = next(i for i, c in enumerate(form) if c)
+    others = [i for i in range(3) if i != p]
+    image = {}
+    for k, i in enumerate(others):
+        if form[i]:
+            image[(1 - k, k)] = Fraction(-form[i], form[p])
+    total = {}
+    for e, c in num.items():
+        term = {(e[others[0]], e[others[1]]): Fraction(c)}
+        for _ in range(e[p]):
+            product = {}
+            for (u, v), a in term.items():
+                for (du, dv), b in image.items():
+                    key = (u + du, v + dv)
+                    product[key] = product.get(key, 0) + a * b
+            term = product
+        for key, a in term.items():
+            total[key] = total.get(key, 0) + a
+    return not any(total.values())
+
+
+def product(den):
+    out = {(0, 0, 0): 1}
+    for f in den:
+        out = p_mul(out, form_poly(f))
+    return out
+
+
+def reference_eq(x, y):
+    return p_mul(x.num, product(y.den)) == p_mul(y.num, product(x.den))
+
+
+def assert_cancelled(v):
+    assert list(v.den) == sorted(v.den)
+    assert all(is_positive_real_root(f) for f in v.den)
+    if v.is_zero():
+        assert v.den == ()
+    for f in set(v.den):
+        assert not vanishes_on_hyperplane(v.num, f), (v, f)
+
+
+def test_roots_are_positive_real_roots():
+    assert len(ROOTS) == len(set(ROOTS)) == 21
+    assert all(is_positive_real_root(f) for f in ROOTS)
+
+
+def test_eq_with_disjoint_denominators():
+    a = RationalNF.reciprocal((1, 0, 0))
+    b = RationalNF.reciprocal((0, 1, 0))
+    assert (a == b) is False
+    assert a + b == RationalNF({(1, 0, 0): 1, (0, 1, 0): 1}, ((0, 1, 0), (1, 0, 0)))
+
+
+def test_division_by_a_non_unit_pivot():
+    # no coefficient of 2*b0 + 3*b1 + 3*b2 is a unit, and 2 does not divide 1
+    assert p_div_form({(1, 0, 0): 1}, (2, 3, 3)) is None
+    assert p_div_form(form_poly((2, 3, 3)), (2, 3, 3)) == {(0, 0, 0): 1}
+
+
+@settings(deadline=None, max_examples=40)
+@given(rationals(), rationals(), rationals())
+def test_ring_laws(x, y, z):
+    zero, one = RationalNF.zero(), RationalNF.integer(1)
+    assert x + y == y + x
+    assert (x + y) + z == x + (y + z)
+    assert x * y == y * x
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + zero == x and x * one == x
+    assert (x - x).is_zero() and (x - x).den == ()
+    assert (x - y) + y == x
+    assert -(-x) == x and x - y == -(y - x)
+
+
+@settings(deadline=None, max_examples=60)
+@given(polys, forms)
+def test_division_inverts_multiplication(q, f):
+    assert p_div_form(p_mul(q, form_poly(f)), f) == q
+    neg = tuple(-c for c in f)
+    assert p_div_form(p_mul(q, form_poly(f)), neg) == {e: -c for e, c in q.items()}
+
+
+@settings(deadline=None, max_examples=60)
+@given(polys, forms)
+def test_division_matches_reference(a, f):
+    q = p_div_form(a, f)
+    assert (q is not None) == vanishes_on_hyperplane(a, f)
+    if q is not None:
+        assert p_mul(q, form_poly(f)) == a
+
+
+@settings(deadline=None, max_examples=40)
+@given(rationals(), rationals(), forms, st.booleans(), st.integers(0, 2))
+def test_results_stay_cancelled(x, y, f, negate, i):
+    assert_cancelled(x)
+    assert_cancelled(x + y)
+    assert_cancelled(x - y)
+    assert_cancelled(x * y)
+    # x + (y - x) needs cancellation to get back to y: the cancelled form is unique
+    back = x + (y - x)
+    assert_cancelled(back)
+    assert (back.num, back.den) == (y.num, y.den)
+    divided = x.divided_by_form(tuple(-c for c in f) if negate else f)
+    assert_cancelled(divided)
+    assert divided == (-x if negate else x) * RationalNF.reciprocal(f)
+    images = [simple_root_action(i, b) for b in BETA]
+    moved = x.substituted(images)
+    assert_cancelled(moved)
+    assert moved.substituted(images) == x
+
+
+@settings(deadline=None, max_examples=40)
+@given(rationals(), rationals(), forms, st.integers(0, 2))
+def test_equality_matches_reference(x, y, f, how):
+    if how == 1:
+        y = x + y - y
+    elif how == 2:
+        # the same value, deliberately left uncancelled
+        y = RationalNF(
+            p_mul(x.num, form_poly(f)), tuple(sorted(x.den + (f,))), normalize=False
+        )
+    assert (x == y) == reference_eq(x, y)
+    assert (y == x) == reference_eq(x, y)
+    if how:
+        assert x == y
