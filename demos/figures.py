@@ -8,10 +8,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from schubert_a2 import RenderSpec, parse_word, render
-from schubert_a2.alcove import format_word, translate_into_chamber
+from schubert_a2 import RenderSpec, hexagon, parse_word, render
+from schubert_a2.alcove import translate_into_chamber
 from schubert_a2.loci import locus_report
-from schubert_a2.qstat import hexagon_of, q_table
+from schubert_a2.qstat import q_table
 
 
 def main():
@@ -23,7 +23,7 @@ def main():
     doc = render(
         RenderSpec(layers=("lattice", "chambers", "hexagon", "diagonals",
                            "special-segments")),
-        hexagon_of(w),
+        hexagon(w),
     )
     (outdir / "hexagon.svg").write_text(doc)
 

@@ -16,6 +16,7 @@ is exact integer arithmetic.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 # ---------------------------------------------------------------------------
@@ -227,14 +228,9 @@ def orientation(point):
     return "up" if r == 1 else "down"
 
 
-_CENTER_CACHE = {}
-
-
+@functools.cache
 def element_from_center(point):
     """The unique w with w(q) equal to the given center."""
-    w = _CENTER_CACHE.get(point)
-    if w is not None:
-        return w
     if not is_center(point):
         raise ValueError("not an alcove center: %r" % (point,))
     for fin in range(6):
@@ -244,16 +240,12 @@ def element_from_center(point):
         if (2 * dx + dy) % 9 == 0 and (dx + 2 * dy) % 9 == 0:
             w = AffineElement(((2 * dx + dy) // 9, (dx + 2 * dy) // 9), fin)
             if w.center() == point:
-                _CENTER_CACHE[point] = w
                 return w
     raise AssertionError("no element for center %r" % (point,))
 
 
 # ---------------------------------------------------------------------------
 # Length, descents, words.
-
-_LENGTH_CACHE = {}
-
 
 def _strictly_between_multiples(a, b):
     """Number of multiples of 3 strictly between a and b (3 divides neither)."""
@@ -262,16 +254,13 @@ def _strictly_between_multiples(a, b):
     return b // 3 - a // 3
 
 
+@functools.cache
 def length(w):
-    n = _LENGTH_CACHE.get(w)
-    if n is None:
-        c = w.center()
-        n = sum(
-            _strictly_between_multiples(pairing(Q0, a), pairing(c, a))
-            for a in POSITIVE_ROOTS
-        )
-        _LENGTH_CACHE[w] = n
-    return n
+    c = w.center()
+    return sum(
+        _strictly_between_multiples(pairing(Q0, a), pairing(c, a))
+        for a in POSITIVE_ROOTS
+    )
 
 
 def descents(w, side="right"):
@@ -337,6 +326,11 @@ def parse_word(text):
 
 def format_word(w):
     return "".join(str(i) for i in element_to_word(w))
+
+
+def display_word(w):
+    """format_word for messages, with "e" for the identity."""
+    return format_word(w) or "e"
 
 
 def type_of(w):
@@ -428,7 +422,7 @@ def half_strip_pattern(w):
     chosen.  Undefined (error) for the identity and for non-spiral elements.
     """
     if w == E or not is_spiral(w):
-        raise SpiralInputError("not a non-identity spiral element: %s" % (w,))
+        raise SpiralInputError("not a non-identity spiral element: %s" % display_word(w))
     word = element_to_word(w)
     i = word[0]
     if len(word) >= 2:
@@ -456,7 +450,7 @@ def classify(w):
 def chamber_of(w):
     """Chamber number of a non-spiral element."""
     if is_spiral(w):
-        raise SpiralInputError("spiral element has no chamber: %s" % (w,))
+        raise SpiralInputError("spiral element has no chamber: %s" % display_word(w))
     return chamber_number(w.center())
 
 
@@ -526,7 +520,7 @@ def spiral_factorizations(w):
     v leaves the strip.  Returned sorted by the half-strip pattern of u.
     """
     if is_spiral(w):
-        raise SpiralInputError("spiral element: %s" % (w,))
+        raise SpiralInputError("spiral element: %s" % display_word(w))
     n = length(w)
     results = []
     for pattern in _CHAMBER_BOUNDARY_PATTERNS[chamber_of(w)]:

@@ -7,12 +7,19 @@ chain) when w is spiral.  Membership is decided by three pairs of
 half-plane inequalities in the scaled integer coordinates, one pair per
 positive root direction.
 
+A Hexagon carries its slab bounds, so it serves as the hull of its owner's
+interval, and hull_of is the one memo of hulls: the Hexagon off the strips,
+degenerate_hull on them.  Lines are (direction, trans value) pairs;
+line_meet intersects two of them exactly, and triangle_test decides
+membership in the closed triangle that three of them cut out.
+
 An independent subexpression oracle (forward dynamic program over a reduced
 word) is provided for cross-checking.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from .alcove import (
@@ -24,6 +31,7 @@ from .alcove import (
     chamber_of,
     chamber_parity,
     chamber_walls,
+    display_word,
     element_from_center,
     element_to_word,
     half_strip_pattern,
@@ -33,17 +41,47 @@ from .alcove import (
     pairing,
 )
 
-# Transverse coordinates: trans(d) is constant exactly on root strings in
-# direction d, and consecutive parallel strings of centers differ by 3.
-_TRANS = {
-    (1, 0): lambda p: p[0] + 2 * p[1],
-    (0, 1): lambda p: 2 * p[0] + p[1],
-    (1, 1): lambda p: p[0] - p[1],
-}
+# Transverse coordinates: trans(p, d) = a*p[0] + b*p[1] with (a, b) = _TRANS[d]
+# is constant exactly on root strings in direction d, and consecutive
+# parallel strings of centers differ by 3.
+_TRANS = {(1, 0): (1, 2), (0, 1): (2, 1), (1, 1): (1, -1)}
 
 
 def trans(point, direction):
-    return _TRANS[direction](point)
+    a, b = _TRANS[direction]
+    return a * point[0] + b * point[1]
+
+
+def line_meet(d1, t1, d2, t2):
+    """Tripled coordinates of the point with trans(d1) = t1, trans(d2) = t2.
+
+    The determinant is 3 or -3 for every pair of distinct directions, so
+    the tripled point is an exact integer pair.
+    """
+    (a, b), (c, d) = _TRANS[d1], _TRANS[d2]
+    det = a * d - b * c
+    return (3 * (d * t1 - b * t2) // det, 3 * (a * t2 - c * t1) // det)
+
+
+def triangle_test(lines):
+    """Membership test for the closed triangle cut out by three lines.
+
+    Each line is a (direction, trans value) pair.  A point is inside when
+    it lies on each line or on the same side of it as the centroid; when
+    the three lines meet in one point the triangle is that point.
+    """
+    corners = [line_meet(*lines[(a + 1) % 3], *lines[(a + 2) % 3]) for a in range(3)]
+    ref9 = (sum(c[0] for c in corners), sum(c[1] for c in corners))  # 9 * centroid
+    sides = [(d, t, trans(ref9, d) - 9 * t) for d, t in lines]
+
+    def inside(point):
+        for d, t, sref in sides:
+            sx = trans(point, d) - t
+            if sx and (sref == 0 or (sx > 0) != (sref > 0)):
+                return False
+        return True
+
+    return inside
 
 
 # Change of the scaled coordinate pair for one center-to-center step along a
@@ -96,27 +134,28 @@ class Hull(NamedTuple):
     bounds: tuple  # ((lo, hi) per direction, in POSITIVE_ROOTS order)
 
     def contains(self, point):
-        for d, (lo, hi) in zip(POSITIVE_ROOTS, self.bounds):
-            if not lo <= trans(point, d) <= hi:
-                return False
-        return True
+        # trans(point, d) for the three directions, inlined: leq runs here
+        x, y = point
+        (lo1, hi1), (lo2, hi2), (lot, hit) = self.bounds
+        return lo1 <= x + 2 * y <= hi1 and lo2 <= 2 * x + y <= hi2 and lot <= x - y <= hit
 
 
 class Hexagon(NamedTuple):
-    """The Bruhat hexagon of a non-spiral element.
+    """The Bruhat hexagon of a non-spiral element, which is also its hull.
 
     vertices[0] is the owner; vertices run counterclockwise.  hyperplanes
     holds the two chamber walls (counterclockwise one first) and the third
-    hyperplane closest to the owner, each as a Reflection.
+    hyperplane closest to the owner, each as a Reflection.  bounds are the
+    slab bounds of the hull, as in Hull.
     """
 
     owner: object
     hyperplanes: tuple
     vertices: tuple
     parity: str
+    bounds: tuple
 
-    def hull(self):
-        return _hull_from_vertices(self.owner, self.vertices)
+    contains = Hull.contains
 
     def edge(self, i):
         """Centers along the edge from vertex i to vertex i+1, inclusive."""
@@ -124,23 +163,28 @@ class Hexagon(NamedTuple):
         b = self.vertices[(i + 1) % 6].center()
         return centers_between(a, b)
 
-    def edges(self):
-        return [self.edge(i) for i in range(6)]
 
-
-def _hull_from_vertices(owner, vertices):
+def _bounds(vertices):
     centers = [v.center() for v in vertices]
-    bounds = tuple(
+    return tuple(
         (min(trans(c, d) for c in centers), max(trans(c, d) for c in centers))
         for d in POSITIVE_ROOTS
     )
-    return Hull(owner, tuple(vertices), bounds)
 
 
 def hexagon(w):
     """The Bruhat hexagon of a non-spiral w (vertices counterclockwise)."""
     if is_spiral(w):
-        raise SpiralInputError("spiral element has no hexagon: %s" % (w,))
+        raise SpiralInputError("spiral element has no hexagon: %s" % display_word(w))
+    return hull_of(w)
+
+
+@functools.cache
+def hull_of(w):
+    """The hull of the interval below w: its Hexagon off the strips, and
+    degenerate_hull(w) on them."""
+    if is_spiral(w):
+        return degenerate_hull(w)
     (a, i), (b, j), (g, k) = chamber_walls(chamber_of(w))
     ra = Reflection(a, i).element()
     rb = Reflection(b, j).element()
@@ -150,11 +194,13 @@ def hexagon(w):
     w3 = rg * w
     w2 = rg * w1
     w4 = rg * w5
+    vertices = (w, w1, w2, w3, w4, w5)
     return Hexagon(
         owner=w,
         hyperplanes=(Reflection(a, i), Reflection(b, j), Reflection(g, k)),
-        vertices=(w, w1, w2, w3, w4, w5),
+        vertices=vertices,
         parity=chamber_parity(w),
+        bounds=_bounds(vertices),
     )
 
 
@@ -169,28 +215,14 @@ def degenerate_hull(w):
     if not is_spiral(w):
         raise ValueError("not a spiral element: %s" % (w,))
     n = length(w)
-    if n == 0:
-        return Hull(w, (w,), tuple((trans(w.center(), d),) * 2 for d in POSITIVE_ROOTS))
-    if n == 1:
-        return _hull_from_vertices(w, (w, E))
-    i, j = half_strip_pattern(w)
-    si, sj = SIMPLES[i], SIMPLES[j]
-    v0 = w
-    v1 = si * w
-    v3 = (si * sj * si) * w
-    v2 = si * v3
-    return _hull_from_vertices(w, (v0, v1, v2, v3))
-
-
-_HULL_CACHE = {}
-
-
-def hull_of(w):
-    h = _HULL_CACHE.get(w)
-    if h is None:
-        h = degenerate_hull(w) if is_spiral(w) else hexagon(w).hull()
-        _HULL_CACHE[w] = h
-    return h
+    if n <= 1:
+        vertices = (w,) if n == 0 else (w, E)
+    else:
+        i, j = half_strip_pattern(w)
+        si, sj = SIMPLES[i], SIMPLES[j]
+        v3 = (si * sj * si) * w
+        vertices = (w, si * w, si * v3, v3)
+    return Hull(w, vertices, _bounds(vertices))
 
 
 def leq(x, w):
@@ -234,8 +266,6 @@ def interval(w):
 
 def shell_index(h, x):
     """The k with x on the k-shell of the hull (0-shell is the boundary)."""
-    if isinstance(h, Hexagon):
-        h = h.hull()
     c = x.center() if hasattr(x, "center") else x
     if not h.contains(c):
         raise ValueError("element outside the hull of %s" % (h.owner,))
@@ -272,7 +302,6 @@ def diagonal_direction(hexagon_, i):
 
 def diagonal_centers(hexagon_, i):
     """Centers in the hull on the root string through vertex i, transversally."""
-    h = hexagon_.hull()
     d = diagonal_direction(hexagon_, i)
     v = hexagon_.vertices[i].center()
     out = [v]
@@ -280,7 +309,7 @@ def diagonal_centers(hexagon_, i):
         cur = v
         while True:
             cur = string_step(cur, d, sign)
-            if not h.contains(cur):
+            if not hexagon_.contains(cur):
                 break
             out.append(cur)
     out.sort(key=lambda p: pairing(p, d))
@@ -312,6 +341,7 @@ def special_segment(hexagon_, edge):
 
 
 def special_segments(hexagon_):
+    """Segments of the special edges, in special_edges order ([] if even)."""
     return [special_segment(hexagon_, edge) for edge in special_edges(hexagon_)]
 
 
@@ -324,9 +354,7 @@ def diagonals_and_special(hexagon_):
     lists.
     """
     diagonals = {i: diagonal_centers(hexagon_, i) for i in range(6)}
-    edges = special_edges(hexagon_)
-    segments = [special_segment(hexagon_, edge) for edge in edges]
-    return diagonals, edges, segments
+    return diagonals, special_edges(hexagon_), special_segments(hexagon_)
 
 
 def hexagon_to_dict(hexagon_):

@@ -18,9 +18,9 @@ from .alcove import (
     length,
     parse_word,
 )
-from .bruhat import hexagon_to_dict, leq, leq_oracle
+from .bruhat import hexagon, hexagon_to_dict, leq, leq_oracle
 from .loci import enumerate_smooth_varieties, locus_report
-from .qstat import NotComparableError, hexagon_of, q_table, q_value
+from .qstat import NotComparableError, q_table, q_value, require_below
 from .render import LAYERS, RenderSpec, render
 from .verify import SUITES, run_suite
 
@@ -112,7 +112,7 @@ def _cmd_order(args):
 
 def _cmd_hexagon(args):
     w = _element_or_exit(args.w)
-    hx = hexagon_of(w)
+    hx = hexagon(w)
     data = hexagon_to_dict(hx)
     lines = ["owner: %s" % (data["owner"] or "e"), "parity: %s" % hx.parity]
     for i, v in enumerate(data["vertices"]):
@@ -171,9 +171,7 @@ def _cmd_mult(args):
 
     w = _element_or_exit(args.w)
     x = _element_or_exit(args.x)
-    if not leq(x, w):
-        print("error: %s is not below %s" % (args.x, args.w), file=sys.stderr)
-        return EXIT_PRECONDITION
+    require_below(x, w)
     value = equivariant_multiplicity(w, x)
     smooth = kumar_smooth(w, x)
     _emit(args, {"w": args.w, "x": args.x, "multiplicity": str(value), "smooth": smooth},
@@ -193,6 +191,10 @@ def _cmd_enumerate(args):
 
 
 def _cmd_verify(args):
+    if args.max_length < 0:
+        print("error: --max-length must be non-negative, got %d" % args.max_length,
+              file=sys.stderr)
+        return EXIT_PARSE
     results = run_suite(args.suite, max_length=args.max_length, workers=args.workers)
     ok = all(r.passed for r in results)
     data = {
@@ -219,7 +221,7 @@ def _cmd_render(args):
             print("error: unknown layer %r" % layer, file=sys.stderr)
             return EXIT_PARSE
     if args.payload == "hexagon":
-        payload = hexagon_of(w)
+        payload = hexagon(w)
     elif args.payload == "q":
         payload = q_table(w)
     else:

@@ -12,6 +12,8 @@ when this equals the reciprocal of the Psi product with the matching sign.
 
 from __future__ import annotations
 
+import functools
+
 from .alcove import (
     E,
     SIMPLES,
@@ -22,7 +24,7 @@ from .alcove import (
     word_to_element,
 )
 from .bruhat import leq
-from .qstat import NotComparableError, reflection_partners
+from .qstat import reflection_partners, require_below
 from .rational import RationalNF, p_const
 
 BETA = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -59,19 +61,13 @@ def simple_root_action(i, r):
     return tuple(out)
 
 
-_ACTION_CACHE = {E: ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
-
-
+@functools.cache
 def _action_matrix(w):
     """Columns are the images w(b0), w(b1), w(b2)."""
-    m = _ACTION_CACHE.get(w)
-    if m is None:
-        cols = list(BETA)
-        for i in reversed(element_to_word(w)):
-            cols = [simple_root_action(i, c) for c in cols]
-        m = tuple(cols)
-        _ACTION_CACHE[w] = m
-    return m
+    cols = list(BETA)
+    for i in reversed(element_to_word(w)):
+        cols = [simple_root_action(i, c) for c in cols]
+    return tuple(cols)
 
 
 def element_root_action(w, r):
@@ -115,8 +111,7 @@ def reflection_to_root(refl):
 
 def psi_set(w, x):
     """Positive real roots whose reflections keep x inside the hull of w."""
-    if not leq(x, w):
-        raise NotComparableError("%s is not below %s" % (x, w))
+    require_below(x, w)
     out = set()
     cx = x.center()
     for d, y in reflection_partners(w, x):
@@ -155,15 +150,9 @@ def multiplicity_table(word):
     return states
 
 
-_TABLE_CACHE = {}
-
-
+@functools.cache
 def multiplicity_table_of(w):
-    tab = _TABLE_CACHE.get(w)
-    if tab is None:
-        tab = multiplicity_table(element_to_word(w))
-        _TABLE_CACHE[w] = tab
-    return tab
+    return multiplicity_table(element_to_word(w))
 
 
 def equivariant_multiplicity(w, x, word=None):
@@ -188,8 +177,7 @@ def smoothness_target(w, x):
 
 def kumar_smooth(w, x):
     """Exact multiplicity test for smoothness of x in the variety of w."""
-    if not leq(x, w):
-        raise NotComparableError("%s is not below %s" % (x, w))
+    require_below(x, w)
     return equivariant_multiplicity(w, x) == smoothness_target(w, x)
 
 

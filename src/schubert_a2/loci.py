@@ -27,7 +27,6 @@ from .alcove import (
 from .bruhat import centers_between, hull_of, interval, leq, shell_index
 from .qstat import (
     bruhat_maximal,
-    hexagon_of,
     is_rationally_smooth,
     maximal_nrs,
     nrs_codimension,
@@ -38,10 +37,7 @@ from .qstat import (
 
 def _edge_neighbors(hx, i):
     """The two edge alcoves adjacent to vertex i along its incident edges."""
-    v = hx.vertices[i].center()
-    prev_edge = centers_between(hx.vertices[(i - 1) % 6].center(), v)
-    next_edge = centers_between(v, hx.vertices[(i + 1) % 6].center())
-    return element_from_center(prev_edge[-2]), element_from_center(next_edge[1])
+    return element_from_center(hx.edge(i - 1)[-2]), element_from_center(hx.edge(i)[1])
 
 
 def smooth_points(w):
@@ -57,7 +53,7 @@ def smooth_points(w):
         from .kumar import kumar_smooth_set
 
         return kumar_smooth_set(w)
-    hx = hexagon_of(w)
+    hx = hull_of(w)
     out = set()
     if type_of(w) == 1:
         rw = descent_group(w, "right")
@@ -77,18 +73,13 @@ def smooth_points(w):
 
 def _attached_edges(w):
     """Center lists of the two hull edges attached to w, starting at w."""
-    if is_spiral(w):
-        h = hull_of(w)
-        if len(h.vertices) < 4:
-            chain = centers_between(h.vertices[0].center(), h.vertices[-1].center())
-            return [chain, chain] if len(h.vertices) > 1 else [[w.center()]] * 2
-        v = [x.center() for x in h.vertices]
-        return [centers_between(v[0], v[1]), centers_between(v[0], v[3])]
-    hx = hexagon_of(w)
-    return [
-        centers_between(hx.vertices[0].center(), hx.vertices[1].center()),
-        centers_between(hx.vertices[0].center(), hx.vertices[5].center()),
-    ]
+    h = hull_of(w)
+    if not is_spiral(w):
+        return [h.edge(0), h.edge(5)[::-1]]
+    # the hull neighbours of w: v1 and v3 of a quadrilateral, the other end
+    # of a chain twice, and w itself for the identity
+    v = [x.center() for x in h.vertices]
+    return [centers_between(v[0], v[min(1, len(v) - 1)]), centers_between(v[0], v[-1])]
 
 
 def attached_edge_lengths(w):

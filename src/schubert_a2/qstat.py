@@ -16,6 +16,7 @@ is the existential scan over the upper interval.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from .alcove import (
@@ -28,6 +29,7 @@ from .alcove import (
     chamber_parity,
     descent_group,
     descents,
+    display_word,
     element_from_center,
     is_spiral,
     is_twisted_spiral,
@@ -38,14 +40,15 @@ from .alcove import (
     type_of,
 )
 from .bruhat import (
-    hexagon,
+    diagonal_direction,
     hull_of,
     interval,
     leq,
     shell_index,
-    special_segment,
+    special_segments,
     string_step,
     trans,
+    triangle_test,
 )
 
 
@@ -53,15 +56,12 @@ class NotComparableError(ValueError):
     """x <= w was required but does not hold."""
 
 
-_HEX_CACHE = {}
-
-
-def hexagon_of(w):
-    h = _HEX_CACHE.get(w)
-    if h is None:
-        h = hexagon(w)
-        _HEX_CACHE[w] = h
-    return h
+def require_below(x, w):
+    """Raise NotComparableError unless x <= w."""
+    if not leq(x, w):
+        raise NotComparableError(
+            "%s is not below %s" % (display_word(x), display_word(w))
+        )
 
 
 def reflection_partners(w, x):
@@ -89,8 +89,7 @@ def reflection_partners(w, x):
 
 def n_brute(w, x):
     """Number of reflections r with r*x <= w."""
-    if not leq(x, w):
-        raise NotComparableError("%s is not below %s" % (x, w))
+    require_below(x, w)
     return len(reflection_partners(w, x))
 
 
@@ -119,24 +118,12 @@ def _orbit_centers(w, x):
     return {(x * u).center() for u in descent_group(w, "right")}
 
 
-def _segments(hx):
-    return [special_segment(hx, e) for e in ((1, 2), (4, 5))]
-
-
 def _orbit_meets_special(w, hx, x):
     orbit = _orbit_centers(w, x)
-    for seg in _segments(hx):
+    for seg in special_segments(hx):
         if orbit.intersection(seg):
             return True
     return False
-
-
-def _special_edge_direction(hx):
-    a = hx.vertices[1].center()
-    b = hx.vertices[2].center()
-    from .bruhat import string_direction
-
-    return string_direction(a, b)
 
 
 def _outer_shell_value(w, hx, x, k):
@@ -149,9 +136,10 @@ def _outer_shell_value(w, hx, x, k):
     if t == 1 or k <= 1:
         return 1 if _orbit_meets_special(w, hx, x) else 0
     # type 2, odd chamber, 2-shell: 2 on the 2-shell edges two strings in
-    # from a special edge, 1 elsewhere.
-    d = _special_edge_direction(hx)
-    lo, hi = hull_of(w).bounds[POSITIVE_ROOTS.index(d)]
+    # from a special edge, 1 elsewhere.  The special edge from w1 to
+    # w2 = r_gamma w1 runs along the root gamma of the third hyperplane.
+    d = hx.hyperplanes[2].root
+    lo, hi = hx.bounds[POSITIVE_ROOTS.index(d)]
     tx = trans(x.center(), d)
     return 2 if tx in (lo + 6, hi - 6) else 1
 
@@ -160,33 +148,22 @@ def _outer_shell_value(w, hx, x, k):
 # Base cases.  In any chamber the alcove of a base-case element shares an
 # edge (type 1) or a vertex (type 2) with a fundamental strip.
 
-def _solve_lines(d1, t1, d2, t2):
-    """Tripled coordinates of the point with trans(d1) = t1, trans(d2) = t2."""
-    coeff = {(1, 0): (1, 2), (0, 1): (2, 1), (1, 1): (1, -1)}
-    (a, b), (c, d) = coeff[d1], coeff[d2]
-    det = a * d - b * c
-    x3 = 3 * (d * t1 - b * t2)
-    y3 = 3 * (a * t2 - c * t1)
-    assert x3 % det == 0 and y3 % det == 0
-    return (x3 // det, y3 // det)
-
-
 class _Base4Geometry(NamedTuple):
     lines: dict  # u-index -> (direction, trans value)
-    red_ref3: tuple  # tripled coordinates of a red-triangle interior reference
+    in_red: object  # membership test of the red triangle (lines of D0, D4, D5)
     blue: dict  # (direction, value) -> list of segment centers (shell >= 2)
 
 
-def _base4_geometry(w, hx):
-    segs = _segments(hx)
+@functools.cache
+def _base4_geometry(w):
+    hx = hull_of(w)
+    segs = special_segments(hx)
     nonempty = [i for i, s in enumerate(segs) if s]
     assert len(nonempty) == 1, "base case 4 has one special segment"
     if nonempty[0] == 0:
         order = list(range(6))  # u_i = w_i (special edge is vertices 1-2)
     else:
         order = [0, 5, 4, 3, 2, 1]  # u_i = w_{6-i} (special edge is 4-5)
-    from .bruhat import diagonal_direction
-
     lines = {}
     for ui, oi in enumerate(order):
         d = diagonal_direction(hx, oi)
@@ -194,24 +171,11 @@ def _base4_geometry(w, hx):
     assert lines[0] == lines[3]
     assert lines[1][0] == lines[4][0] and lines[2][0] == lines[5][0]
 
-    # Red triangle bounded by the lines of D0, D4, D5.
-    tri = [lines[0], lines[4], lines[5]]
-    corners = [
-        _solve_lines(*tri[1], *tri[2]),
-        _solve_lines(*tri[0], *tri[2]),
-        _solve_lines(*tri[0], *tri[1]),
-    ]
-    ref3 = (
-        sum(c[0] for c in corners),
-        sum(c[1] for c in corners),
-    )  # 3 * centroid * 3 = 9 * centroid; only the side signs matter
-    h = hull_of(w)
-
     def segment_on(d, value):
         out = []
         for x in interval(w):
             c = x.center()
-            if trans(c, d) == value and shell_index(h, x) >= 2:
+            if trans(c, d) == value and shell_index(hx, x) >= 2:
                 out.append(c)
         out.sort(key=lambda c: pairing(c, d))
         return out
@@ -223,33 +187,14 @@ def _base4_geometry(w, hx):
         assert b - a == 9, "parallel diagonals are three strings apart"
         for v in (a + 3, a + 6):
             blue[(d, v)] = segment_on(d, v)
-    return _Base4Geometry(lines, ref3, blue)
+    red = triangle_test([lines[0], lines[4], lines[5]])
+    return _Base4Geometry(lines, red, blue)
 
 
-_BASE4_CACHE = {}
-
-
-def _in_red_triangle(geom, c):
-    tri = [geom.lines[0], geom.lines[4], geom.lines[5]]
-    for d, t in tri:
-        sx = trans(c, d) - t
-        sref = trans(geom.red_ref3, d) - 9 * t
-        if sref == 0:
-            # the triangle degenerates to the common point of the three lines
-            if sx != 0:
-                return False
-        elif sx != 0 and (sx > 0) != (sref > 0):
-            return False
-    return True
-
-
-def _base4_interior_value(w, hx, x):
-    geom = _BASE4_CACHE.get(w)
-    if geom is None:
-        geom = _base4_geometry(w, hx)
-        _BASE4_CACHE[w] = geom
+def _base4_interior_value(w, x):
+    geom = _base4_geometry(w)
     c = x.center()
-    if _in_red_triangle(geom, c):
+    if geom.in_red(c):
         return 2
     for i in (1, 2):
         d, t = geom.lines[i]
@@ -286,22 +231,23 @@ def _base_case_value(w, hx, x, k):
         return 0 if k <= 1 else 2
     if k <= 1:
         return 1 if _orbit_meets_special(w, hx, x) else 0
-    return _base4_interior_value(w, hx, x)
+    return _base4_interior_value(w, x)
 
 
 def q_structured(w, x):
     """Closed-form q(w, x) for non-spiral w: base cases, outer shells, and
     the +2 translation recursion."""
     if is_spiral(w):
-        raise SpiralInputError("q_structured needs a non-spiral element: %s" % (w,))
-    if not leq(x, w):
-        raise NotComparableError("%s is not below %s" % (x, w))
+        raise SpiralInputError(
+            "q_structured needs a non-spiral element: %s" % display_word(w)
+        )
+    require_below(x, w)
     return _q_structured(w, x)
 
 
 def _q_structured(w, x):
-    hx = hexagon_of(w)
-    k = shell_index(hull_of(w), x)
+    hx = hull_of(w)
+    k = shell_index(hx, x)
     if is_base_case(w):
         return _base_case_value(w, hx, x, k)
     if k <= 2:
@@ -345,11 +291,10 @@ def q_table(w):
         for x in interval(w):
             entries[x] = (q_brute(w, x), "brute")
         return QTable(w, entries)
-    hx = hexagon_of(w)
+    hx = hull_of(w)
     base = is_base_case(w)
-    h = hull_of(w)
     for x in interval(w):
-        k = shell_index(h, x)
+        k = shell_index(hx, x)
         if base:
             entries[x] = (_base_case_value(w, hx, x, k), "base-case")
         elif k <= 2:
@@ -364,8 +309,7 @@ def q_table(w):
 
 def nrs(w, x):
     """Is x non-rationally-smooth in the Schubert variety of w?"""
-    if not leq(x, w):
-        raise NotComparableError("%s is not below %s" % (x, w))
+    require_below(x, w)
     if not is_spiral(w):
         return q_structured(w, x) > 0
     return any(q_brute(w, y) > 0 for y in interval(w) if leq(x, y))
@@ -406,18 +350,6 @@ def maximal_nrs_generic(w):
     return bruhat_maximal(nrs_set(w))
 
 
-def _special_endpoints_near_w(hx):
-    """Special segment endpoints closest to the vertices adjacent to w."""
-    out = []
-    alcs = hx.edge(1)
-    if len(alcs) >= 6:
-        out.append(element_from_center(alcs[2]))  # two in from vertex 1
-    alcs = hx.edge(4)
-    if len(alcs) >= 6:
-        out.append(element_from_center(alcs[-3]))  # two in from vertex 5
-    return out
-
-
 def _z_pair(w):
     """wstu and wsut for the unique right descent s and ascents t < u."""
     s = SIMPLES[next(iter(descents(w, "right")))]
@@ -456,7 +388,7 @@ def maximal_nrs(w):
     if is_rationally_smooth(w):
         return set()
     n = length(w)
-    hx = hexagon_of(w)
+    hx = hull_of(w)
     t = type_of(w)
     if n < 6:
         assert n == 5 and hx.parity == "odd" and t == 2
@@ -468,7 +400,9 @@ def maximal_nrs(w):
         if is_base_case(w):
             return {_split_in_chamber(w, pair)[0]}
         return set(pair)
-    ps = _special_endpoints_near_w(hx)
+    # the special segment endpoints next to vertices 1 and 5
+    seg1, seg2 = special_segments(hx)
+    ps = [element_from_center(c) for c in seg1[:1] + seg2[-1:]]
     if t == 1:
         return set(ps)
     pair = _z_pair(w)
@@ -495,40 +429,21 @@ def shell_profile_consistent(w):
     +1 on shells k = 2 mod 3 for type 2.  Checked against the structured
     values; brute counting stays authoritative on any discrepancy.
     """
-    from .bruhat import diagonal_direction
-
     if is_spiral(w) or chamber_parity(w) != "even":
         raise ValueError("even-chamber non-spiral owner required: %s" % (w,))
-    hx = hexagon_of(w)
+    hx = hull_of(w)
     lines = []
     for i in (0, 1, 2):
         d = diagonal_direction(hx, i)
         lines.append((d, trans(hx.vertices[i].center(), d)))
-    corners = []
-    for a in range(3):
-        (d1, t1), (d2, t2) = lines[(a + 1) % 3], lines[(a + 2) % 3]
-        corners.append(_solve_lines(d1, t1, d2, t2))
-    ref9 = (sum(p[0] for p in corners), sum(p[1] for p in corners))
-
-    def in_triangle(c):
-        for d, t in lines:
-            sx = trans(c, d) - t
-            sr = trans(ref9, d) - 9 * t
-            if sr == 0:
-                if sx != 0:
-                    return False
-            elif sx != 0 and (sx > 0) != (sr > 0):
-                return False
-        return True
-
+    in_triangle = triangle_test(lines)
     t = type_of(w)
-    h = hull_of(w)
     rw = descent_group(w, "right")
     tab = q_table(w)
     for x in tab.entries:
         if any(in_triangle((x * u).center()) for u in rw):
             continue
-        k = shell_index(h, x)
+        k = shell_index(hx, x)
         expect = 2 * (k // 3) + (1 if (t == 2 and k % 3 == 2) else 0)
         if tab.q(x) != expect:
             return False

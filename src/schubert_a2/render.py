@@ -14,10 +14,10 @@ import math
 import os
 from typing import NamedTuple
 
-from .alcove import POSITIVE_ROOTS, format_word, is_spiral, orientation
-from .bruhat import Hexagon, diagonal_centers, hull_of, special_segment
+from .alcove import POSITIVE_ROOTS, display_word, is_spiral, orientation
+from .bruhat import Hexagon, diagonal_centers, hull_of, line_meet, special_segments
 from .loci import LocusReport
-from .qstat import QTable, hexagon_of
+from .qstat import QTable
 
 LAYERS = (
     "lattice",
@@ -190,7 +190,7 @@ def render(spec, payload):
             k += 1
 
     if not is_spiral(owner) and ("special-segments" in layers or "diagonals" in layers):
-        hx = hexagon_of(owner)
+        hx = hull_of(owner)
         if "diagonals" in layers:
             for i in range(6):
                 pts = diagonal_centers(hx, i)
@@ -198,9 +198,8 @@ def render(spec, payload):
                     body.append(
                         _line(_xy(pts[0]), _xy(pts[-1]), colors["diagonal"], 1.0, dash=True)
                     )
-        if "special-segments" in layers and hx.parity == "odd":
-            for edge in ((1, 2), (4, 5)):
-                seg = special_segment(hx, edge)
+        if "special-segments" in layers:
+            for seg in special_segments(hx):
                 if seg:
                     body.append(
                         _line(_xy(seg[0]), _xy(seg[-1]), colors["special"], 4.0)
@@ -221,7 +220,7 @@ def render(spec, payload):
             else:
                 from .alcove import element_from_center
 
-                text = format_word(element_from_center(c)) or "e"
+                text = display_word(element_from_center(c))
                 if len(text) > 6:
                     continue
             px, py = _xy(c)
@@ -273,8 +272,6 @@ _EDGE_ORDER = (
     ((1, 1), "hi"),  # SE
 )
 
-_TRANS_COEFF = {(1, 0): (1, 2), (0, 1): (2, 1), (1, 1): (1, -1)}
-
 
 def _shell_ring(hull, k):
     """Corner pixels of the k-shell boundary polygon, or None when empty."""
@@ -288,10 +285,6 @@ def _shell_ring(hull, k):
             return None
     ring = []
     for i in range(6):
-        (d1, t1), (d2, t2) = lines[i], lines[(i + 1) % 6]
-        (a, b), (c, d) = _TRANS_COEFF[d1], _TRANS_COEFF[d2]
-        det = a * d - b * c
-        p1 = (d * t1 - b * t2) / det
-        p2 = (a * t2 - c * t1) / det
-        ring.append(_xy((p1, p2)))
+        p3 = line_meet(*lines[i], *lines[(i + 1) % 6])
+        ring.append(_xy((p3[0] / 3, p3[1] / 3)))
     return ring

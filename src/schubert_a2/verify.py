@@ -29,7 +29,7 @@ from .alcove import (
     translate_into_chamber,
     type_of,
 )
-from .bruhat import interval, leq, oracle_interval
+from .bruhat import hexagon, interval, leq, oracle_interval
 from .loci import (
     attached_edge_lengths,
     classify_schubert,
@@ -43,7 +43,6 @@ from .loci import (
 )
 from .qstat import (
     bruhat_maximal,
-    hexagon_of,
     lookup_holds,
     maximal_nrs,
     maximal_nrs_generic,
@@ -317,7 +316,7 @@ def check_loci_structure(max_length=12, workers=1):
             and type_of(w) == 1
             and not is_twisted_spiral(w)
         ):
-            hx = hexagon_of(w)
+            hx = hexagon(w)
             if all(len(hx.edge(i)) >= 6 for i in range(6)) and len(pts) == 36:
                 witness36 = True
             if length(w) >= 7:
@@ -362,6 +361,8 @@ def run_suite(suite="all", max_length=12, workers=1):
     """Run one named verification suite; returns a list of CheckResult."""
     if suite not in SUITES:
         raise ValueError("unknown suite %r" % suite)
+    if max_length < 0:
+        raise ValueError("max_length must be non-negative, got %d" % max_length)
     wanted = SUITES[suite]
     out = []
     for name, fn in CRITERIA:

@@ -1,6 +1,8 @@
 """Hulls, the subexpression oracle, intervals, shells, special segments."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -34,11 +36,13 @@ from schubert_a2.bruhat import (
     interval,
     leq,
     leq_oracle,
+    line_meet,
     oracle_interval,
     shell_index,
     special_segment,
     string_step,
     trans,
+    triangle_test,
 )
 from schubert_a2.loci import elements_of_length_at_most
 
@@ -284,3 +288,63 @@ def test_hexagon_json():
     assert len(data["vertices"]) == 6
     assert len(data["hyperplanes"]) == 3
     assert all(set(h) == {"root", "level"} for h in data["hyperplanes"])
+
+
+# --- the line/triangle kernel, against independent exact references ------
+
+_COEFF = {(1, 0): (1, 2), (0, 1): (2, 1), (1, 1): (1, -1)}  # trans as a linear form
+
+
+def _meet_exact(d1, t1, d2, t2):
+    """The point on both lines, by Cramer's rule over the rationals."""
+    (a, b), (c, d) = _COEFF[d1], _COEFF[d2]
+    det = Fraction(a * d - b * c)
+    return ((d * t1 - b * t2) / det, (a * t2 - c * t1) / det)
+
+
+def test_line_meet_is_exact():
+    for d1, d2 in itertools.permutations(POSITIVE_ROOTS, 2):
+        for t1 in range(-7, 8):
+            for t2 in range(-7, 8):
+                x, y = _meet_exact(d1, t1, d2, t2)
+                assert line_meet(d1, t1, d2, t2) == (3 * x, 3 * y)
+
+
+def _in_triangle_cross(corners, p):
+    """Closed triangle by cross-product signs; a point triangle is itself."""
+    if corners[0] == corners[1] == corners[2]:
+        return p == corners[0]
+    signs = set()
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        (ax, ay), (bx, by) = corners[a], corners[b]
+        cross = (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax)
+        if cross:
+            signs.add(cross > 0)
+    return len(signs) <= 1
+
+
+def test_triangle_test_matches_cross_products():
+    grid = [(p1, p2) for p1 in range(-13, 14) for p2 in range(-13, 14)
+            if p1 % 3 and p2 % 3 == p1 % 3]
+    random.seed(5)
+    cases = [[random.randrange(-12, 13) for _ in range(3)] for _ in range(16)]
+    # three lines through one center: the triangle is that point
+    cases += [[trans(c, d) for d in POSITIVE_ROOTS] for c in ((1, 1), (-5, 4), (7, -2))]
+    hits = 0
+    for ts in cases:
+        for dirs in itertools.permutations(POSITIVE_ROOTS):
+            lines = [(d, ts[POSITIVE_ROOTS.index(d)]) for d in dirs]
+            corners = [_meet_exact(*lines[(a + 1) % 3], *lines[(a + 2) % 3])
+                       for a in range(3)]
+            inside = triangle_test(lines)
+            for p in grid:
+                expect = _in_triangle_cross(corners, p)
+                assert inside(p) == expect, (lines, p)
+                hits += expect
+    assert hits > 0
+
+
+def test_hexagon_is_the_memoized_hull():
+    for w in ELEMENTS:
+        if not is_spiral(w):
+            assert hexagon(w) is hull_of(w)

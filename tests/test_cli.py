@@ -96,6 +96,21 @@ def test_verify_small(capture):
     assert data["passed"] and len(data["results"]) == 2
 
 
+def test_verify_rejects_negative_bound(capture):
+    code, out, err = capture("verify", "--max-length", "-1", "--suite", "q")
+    assert code == 2 and out == ""
+    assert "--max-length must be non-negative" in err
+
+
+def test_not_below_message_uses_words(capture):
+    code, _, err = capture("q", "01", "012")
+    assert code == 3
+    assert err == "error: 012 is not below 01\n"
+    code, _, err = capture("mult", "", "0")
+    assert code == 3
+    assert err == "error: 0 is not below e\n"
+
+
 def test_render_determinism(tmp_path, capture):
     a = tmp_path / "a.svg"
     b = tmp_path / "b.svg"

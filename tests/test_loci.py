@@ -17,7 +17,7 @@ from schubert_a2.alcove import (
     type_of,
     word_to_element,
 )
-from schubert_a2.bruhat import interval, leq
+from schubert_a2.bruhat import hexagon, interval, leq
 from schubert_a2.loci import (
     attached_edge_lengths,
     classify_schubert,
@@ -32,7 +32,6 @@ from schubert_a2.loci import (
 )
 from schubert_a2.qstat import (
     bruhat_maximal,
-    hexagon_of,
     maximal_nrs,
     nrs_codimension,
     nrs_set,
@@ -56,7 +55,7 @@ def test_generic_type1_has_36_smooth_points():
             continue
         if chamber_parity(w) != "even":
             continue
-        hx = hexagon_of(w)
+        hx = hexagon(w)
         if all(len(hx.edge(i)) >= 6 for i in range(6)):
             assert len(smooth_points(w)) == 36
             found = True

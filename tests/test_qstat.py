@@ -23,11 +23,10 @@ from schubert_a2.alcove import (
     type_of,
     word_to_element,
 )
-from schubert_a2.bruhat import hull_of, interval, leq, shell_index
+from schubert_a2.bruhat import hexagon, hull_of, interval, leq, shell_index
 from schubert_a2.loci import elements_of_length_at_most
 from schubert_a2.qstat import (
     NotComparableError,
-    hexagon_of,
     is_base_case,
     is_rationally_smooth,
     lookup_holds,
@@ -89,7 +88,7 @@ def test_outer_shell_values():
     for w in NONSPIRAL:
         if length(w) < 4 or is_base_case(w):
             continue
-        hx = hexagon_of(w)
+        hx = hexagon(w)
         h = hull_of(w)
         tab = q_table(w)
         for x in tab.entries:

@@ -10,6 +10,11 @@ def test_unknown_suite():
         run_suite("nope")
 
 
+def test_negative_bound_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        run_suite("q", max_length=-1)
+
+
 def test_suite_names_cover_criteria():
     assert set(SUITES) == {"hexagon", "q", "lookup", "kumar", "loci", "all"}
     assert len(SUITES["all"]) == 11
