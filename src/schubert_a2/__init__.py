@@ -11,7 +11,6 @@ from .alcove import (
     S2,
     SIMPLES,
     classify,
-    compose,
     descents,
     element_to_word,
     format_word,

@@ -30,10 +30,6 @@ A1 = (1, 0)
 A2 = (0, 1)
 AT = (1, 1)
 POSITIVE_ROOTS = (A1, A2, AT)
-ALL_ROOTS = (A1, A2, AT, (-1, 0), (0, -1), (-1, -1))
-
-# Gram matrix of the simple roots and 3 * its inverse.
-_GRAM = ((2, -1), (-1, 2))
 
 SIMPLE_INDICES = (0, 1, 2)
 
@@ -175,14 +171,6 @@ S2 = AffineElement((0, 0), _FIN_S2)
 S0 = AffineElement((1, 1), _FIN_SAT)  # s0 = reflection across H_{at,1}
 
 SIMPLES = (S0, S1, S2)
-
-
-def compose(a, b):
-    return a * b
-
-
-def act(w, point):
-    return w.act(point)
 
 
 def translation(root):

@@ -86,10 +86,6 @@ def _fmt_bool(b):
     return "true" if b else "false"
 
 
-def _element_or_exit(text):
-    return parse_word(text)  # InvalidWordError is mapped to EXIT_PARSE in run()
-
-
 def _emit(args, data, text_lines):
     if args.json:
         print(json.dumps(data, sort_keys=True))
@@ -99,8 +95,8 @@ def _emit(args, data, text_lines):
 
 
 def _cmd_order(args):
-    x = _element_or_exit(args.x)
-    w = _element_or_exit(args.w)
+    x = parse_word(args.x)
+    w = parse_word(args.w)
     fast = leq(x, w)
     oracle = leq_oracle(x, w)
     agree = fast == oracle
@@ -111,7 +107,7 @@ def _cmd_order(args):
 
 
 def _cmd_hexagon(args):
-    w = _element_or_exit(args.w)
+    w = parse_word(args.w)
     hx = hexagon(w)
     data = hexagon_to_dict(hx)
     lines = ["owner: %s" % (data["owner"] or "e"), "parity: %s" % hx.parity]
@@ -124,9 +120,9 @@ def _cmd_hexagon(args):
 
 
 def _cmd_q(args):
-    w = _element_or_exit(args.w)
+    w = parse_word(args.w)
     if args.x is not None:
-        x = _element_or_exit(args.x)
+        x = parse_word(args.x)
         value = q_value(w, x)
         _emit(args, {"w": args.w, "x": args.x, "q": value}, [str(value)])
         return EXIT_OK
@@ -138,7 +134,7 @@ def _cmd_q(args):
 
 
 def _cmd_locus_slice(args, key):
-    w = _element_or_exit(args.w)
+    w = parse_word(args.w)
     report = locus_report(w)
     data = report.to_dict()
     rows = [r for r in data["records"] if r[key]]
@@ -149,7 +145,7 @@ def _cmd_locus_slice(args, key):
 
 
 def _cmd_classify(args):
-    w = _element_or_exit(args.w)
+    w = parse_word(args.w)
     report = locus_report(w)
     data = report.to_dict()
     s = data["summary"]
@@ -169,8 +165,8 @@ def _cmd_classify(args):
 def _cmd_mult(args):
     from .kumar import equivariant_multiplicity, kumar_smooth
 
-    w = _element_or_exit(args.w)
-    x = _element_or_exit(args.x)
+    w = parse_word(args.w)
+    x = parse_word(args.x)
     require_below(x, w)
     value = equivariant_multiplicity(w, x)
     smooth = kumar_smooth(w, x)
@@ -201,7 +197,8 @@ def _cmd_verify(args):
         "suite": args.suite,
         "max_length": args.max_length,
         "results": [
-            {"criterion": r.criterion, "passed": r.passed, "detail": r.detail}
+            {"criterion": r.criterion, "passed": r.passed, "detail": r.detail,
+             "bound": r.bound}
             for r in results
         ],
         "passed": ok,
@@ -214,7 +211,7 @@ def _cmd_verify(args):
 
 
 def _cmd_render(args):
-    w = _element_or_exit(args.w)
+    w = parse_word(args.w)
     layers = tuple(s for s in args.layers.split(",") if s)
     for layer in layers:
         if layer not in LAYERS:

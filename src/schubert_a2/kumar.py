@@ -28,7 +28,6 @@ from .qstat import reflection_partners, require_below
 from .rational import RationalNF, p_const
 
 BETA = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-DELTA = (1, 1, 1)
 
 # Finite roots in the affine-root basis: a1 = b1, a2 = b2, at = b1 + b2.
 _FINITE_TRIPLES = {

@@ -245,14 +245,19 @@ def q_structured(w, x):
     return _q_structured(w, x)
 
 
-def _q_structured(w, x):
-    hx = hull_of(w)
+def _q_tagged(w, hx, base, x):
+    """(q, provenance tag) for non-spiral w with hull hx; base says whether
+    w is a base case."""
     k = shell_index(hx, x)
-    if is_base_case(w):
-        return _base_case_value(w, hx, x, k)
+    if base:
+        return _base_case_value(w, hx, x, k), "base-case"
     if k <= 2:
-        return _outer_shell_value(w, hx, x, k)
-    return _q_structured(translate_out_of_chamber(w), x) + 2
+        return _outer_shell_value(w, hx, x, k), "outer-shell"
+    return _q_structured(translate_out_of_chamber(w), x) + 2, "translation"
+
+
+def _q_structured(w, x):
+    return _q_tagged(w, hull_of(w), is_base_case(w), x)[0]
 
 
 def q_value(w, x):
@@ -286,22 +291,11 @@ class QTable(NamedTuple):
 
 
 def q_table(w):
-    entries = {}
     if is_spiral(w):
-        for x in interval(w):
-            entries[x] = (q_brute(w, x), "brute")
-        return QTable(w, entries)
+        return QTable(w, {x: (q_brute(w, x), "brute") for x in interval(w)})
     hx = hull_of(w)
     base = is_base_case(w)
-    for x in interval(w):
-        k = shell_index(hx, x)
-        if base:
-            entries[x] = (_base_case_value(w, hx, x, k), "base-case")
-        elif k <= 2:
-            entries[x] = (_outer_shell_value(w, hx, x, k), "outer-shell")
-        else:
-            entries[x] = (_q_structured(translate_out_of_chamber(w), x) + 2, "translation")
-    return QTable(w, entries)
+    return QTable(w, {x: _q_tagged(w, hx, base, x) for x in interval(w)})
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +309,18 @@ def nrs(w, x):
     return any(q_brute(w, y) > 0 for y in interval(w) if leq(x, y))
 
 
+def down_closure(members, tops):
+    """The members lying below some element of tops."""
+    return {x for x in members if any(leq(x, y) for y in tops)}
+
+
 def nrs_set(w):
     """All x <= w that are nrs in the Schubert variety of w."""
     members = interval(w)
     positive = [y for y in members if q_value(w, y) > 0]
     if not is_spiral(w):
         return set(positive)
-    return {x for x in members if any(leq(x, y) for y in positive)}
+    return down_closure(members, positive)
 
 
 def bruhat_maximal(elements):
@@ -455,11 +454,11 @@ def lookup_holds(w):
     members = interval(w)
     qmap = {x: q_brute(w, x) for x in members}
     positive = {x for x in members if qmap[x] > 0}
+    truly_nrs = down_closure(members, positive)
     for x in members:
-        truly_nrs = any(leq(x, y) for y in positive)
         witnessed = qmap[x] > 0 or any(
             y in positive for y in reflections_over(w, x)
         )
-        if truly_nrs != witnessed:
+        if (x in truly_nrs) != witnessed:
             return False
     return True

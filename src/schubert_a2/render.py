@@ -57,9 +57,8 @@ def _colors():
 
 
 class RenderSpec(NamedTuple):
-    """What to draw: viewport in scaled coordinates, layers, label mode."""
+    """What to draw: layers and label mode; the viewport fits the owner."""
 
-    viewport: tuple = None  # (p1min, p2min, p1max, p2max) or None for auto
     layers: tuple = ("lattice", "hexagon")
     labels: str = "none"  # "none" | "q-values" | "words"
 
@@ -129,9 +128,7 @@ def render(spec, payload):
     """Render a Hexagon, QTable, or LocusReport to an SVG document string."""
     owner = _payload_owner(payload)
     colors = _colors()
-    vp = spec.viewport or _auto_viewport(owner)
-    if vp[0] >= vp[2] or vp[1] >= vp[3]:
-        raise ValueError("empty viewport %r" % (vp,))
+    vp = _auto_viewport(owner)
     centers = _centers_in_viewport(vp)
     corners = [xy for c in centers for xy in (_xy(p) for p in _corner_points(c))]
     xs = [p[0] for p in corners]

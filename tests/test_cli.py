@@ -96,6 +96,16 @@ def test_verify_small(capture):
     assert data["passed"] and len(data["results"]) == 2
 
 
+def test_verify_reports_capped_bounds(capture):
+    code, out, _ = capture("verify", "--suite", "kumar", "--max-length", "10", "--json")
+    assert code == 0
+    assert [r["bound"] for r in json.loads(out)["results"]] == [9, 8]
+    code, out, _ = capture("verify", "--suite", "kumar", "--max-length", "10")
+    assert code == 0
+    assert out.splitlines()[0].startswith("PASS kumar-smooth-locus - ")
+    assert out.splitlines()[0].endswith(" checks (l <= 9)")
+
+
 def test_verify_rejects_negative_bound(capture):
     code, out, err = capture("verify", "--max-length", "-1", "--suite", "q")
     assert code == 2 and out == ""

@@ -1,8 +1,9 @@
-"""The verification harness itself: suites, workers, determinism."""
+"""The verification harness itself: suites, workers, bounds, failure reports."""
 
 import pytest
 
-from schubert_a2.verify import SUITES, run_suite
+from schubert_a2 import verify
+from schubert_a2.verify import SUITES, run_criterion, run_suite
 
 
 def test_unknown_suite():
@@ -20,8 +21,23 @@ def test_suite_names_cover_criteria():
     assert len(SUITES["all"]) == 11
 
 
-def test_workers_match_serial():
-    serial = run_suite("q", max_length=6, workers=1)
-    parallel = run_suite("q", max_length=6, workers=2)
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_workers_match_serial(suite):
+    serial = run_suite(suite, max_length=6, workers=1)
+    parallel = run_suite(suite, max_length=6, workers=2)
     assert serial == parallel
     assert all(r.passed for r in serial)
+
+
+def test_capped_criterion_reports_its_bound():
+    result = run_criterion("translation", max_length=11)
+    assert result.passed and result.bound == 10
+    assert result.detail.endswith("(l <= 10)")
+
+
+def test_failure_names_identity_and_owner(monkeypatch):
+    brute = verify.q_brute
+    monkeypatch.setattr(verify, "q_brute", lambda w, x: brute(w, x) + 1)
+    result = run_criterion("q", 4)
+    assert not result.passed and result.bound == 4
+    assert result.detail.startswith("9 failed in 9 checks (l <= 4): q-table 010, ")
