@@ -251,22 +251,19 @@ def length(w):
     )
 
 
-def descents(w, side="right"):
-    """Indices i with w*s_i < w (right) or s_i*w < w (left)."""
-    if side == "right":
-        return {i for i in SIMPLE_INDICES if length(w * SIMPLES[i]) < length(w)}
-    if side == "left":
-        return {i for i in SIMPLE_INDICES if length(SIMPLES[i] * w) < length(w)}
-    raise ValueError("side must be 'right' or 'left'")
+def descents(w):
+    """Indices i with w*s_i < w; the left descents of w are those of
+    w.inverse()."""
+    return {i for i in SIMPLE_INDICES if length(w * SIMPLES[i]) < length(w)}
 
 
-def ascents(w, side="right"):
-    return set(SIMPLE_INDICES) - descents(w, side)
+def ascents(w):
+    return set(SIMPLE_INDICES) - descents(w)
 
 
-def descent_group(w, side="right"):
-    """The subgroup R(w) (or L(w)) generated by the descent reflections."""
-    gens = [SIMPLES[i] for i in descents(w, side)]
+def descent_group(w):
+    """The subgroup R(w) generated by the right descent reflections."""
+    gens = [SIMPLES[i] for i in descents(w)]
     group = {E}
     frontier = [E]
     while frontier:
@@ -295,7 +292,7 @@ def element_to_word(w):
     letters = []
     cur = w
     while cur != E:
-        i = min(descents(cur, "right"))
+        i = min(descents(cur))
         letters.append(i)
         cur = cur * SIMPLES[i]
     letters.reverse()
@@ -325,7 +322,7 @@ def type_of(w):
     """Number of right ascents: 1 or 2 for w != e."""
     if w == E:
         raise IdentityTypeError("the identity has no type")
-    t = len(ascents(w, "right"))
+    t = len(ascents(w))
     assert t in (1, 2)
     return t
 
@@ -473,7 +470,7 @@ def is_twisted_spiral(w):
     if w == E or is_spiral(w):
         return False
     n = length(w)
-    for i in descents(w, "right"):
+    for i in descents(w):
         z = w * SIMPLES[i]
         if is_spiral(z) and z != E and length(z) % 2 == 0:
             assert length(z) == n - 1

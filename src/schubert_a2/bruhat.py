@@ -316,33 +316,18 @@ def diagonal_centers(hexagon_, i):
     return out
 
 
-SPECIAL_EDGE_INDICES = ((1, 2), (4, 5))
+def special_segments(hexagon_):
+    """Centers of the special segments on the special edges w1-w2 and w4-w5
+    of an odd-chamber hexagon ([] if even).
 
-
-def special_edges(hexagon_):
-    """The two special edges (vertex index pairs) of an odd-chamber hexagon."""
-    if hexagon_.parity != "odd":
-        return []
-    return list(SPECIAL_EDGE_INDICES)
-
-
-def special_segment(hexagon_, edge):
-    """Centers of the special segment on the given special edge (maybe empty).
-
-    The segment runs between the alcoves two in from each end of the edge,
+    A segment runs between the alcoves two in from each end of its edge,
     inclusive; it is nonempty exactly when the edge holds at least six
     alcoves.
     """
-    i, _ = edge
-    alcoves = hexagon_.edge(i)
-    if len(alcoves) < 6:
+    if hexagon_.parity != "odd":
         return []
-    return alcoves[2:len(alcoves) - 2]
-
-
-def special_segments(hexagon_):
-    """Segments of the special edges, in special_edges order ([] if even)."""
-    return [special_segment(hexagon_, edge) for edge in special_edges(hexagon_)]
+    edges = (hexagon_.edge(1), hexagon_.edge(4))
+    return [e[2:len(e) - 2] if len(e) >= 6 else [] for e in edges]
 
 
 def diagonals_and_special(hexagon_):
@@ -354,7 +339,8 @@ def diagonals_and_special(hexagon_):
     lists.
     """
     diagonals = {i: diagonal_centers(hexagon_, i) for i in range(6)}
-    return diagonals, special_edges(hexagon_), special_segments(hexagon_)
+    edges = [(1, 2), (4, 5)] if hexagon_.parity == "odd" else []
+    return diagonals, edges, special_segments(hexagon_)
 
 
 def hexagon_to_dict(hexagon_):

@@ -191,6 +191,9 @@ def _cmd_verify(args):
         print("error: --max-length must be non-negative, got %d" % args.max_length,
               file=sys.stderr)
         return EXIT_PARSE
+    if args.workers < 1:
+        print("error: --workers must be at least 1, got %d" % args.workers, file=sys.stderr)
+        return EXIT_PARSE
     results = run_suite(args.suite, max_length=args.max_length, workers=args.workers)
     ok = all(r.passed for r in results)
     data = {
@@ -224,9 +227,16 @@ def _cmd_render(args):
     else:
         payload = locus_report(w)
     spec = RenderSpec(layers=layers, labels=args.labels)
-    doc = render(spec, payload)
-    with open(args.out, "w") as fh:
-        fh.write(doc)
+    try:
+        doc = render(spec, payload)
+        with open(args.out, "w") as fh:
+            fh.write(doc)
+    except json.JSONDecodeError as exc:
+        print("error: SCHUBERT_A2_CONFIG is not valid JSON: %s" % exc, file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:  # the config file or the --out directory is missing
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_PARSE
     if args.json:
         print(json.dumps({"out": args.out, "bytes": len(doc)}))
     else:

@@ -180,10 +180,12 @@ def kumar_smooth(w, x):
     return equivariant_multiplicity(w, x) == smoothness_target(w, x)
 
 
+@functools.cache
 def kumar_smooth_set(w):
-    """All x below w passing the multiplicity test, from one table pass."""
+    """All x below w passing the multiplicity test, from one table pass, as
+    a frozenset."""
     tab = multiplicity_table_of(w)
-    return {x for x in tab if tab[x] == smoothness_target(w, x)}
+    return frozenset(x for x in tab if tab[x] == smoothness_target(w, x))
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,13 @@ from .alcove import (
     type_of,
 )
 from .bruhat import centers_between, hull_of, interval, leq, shell_index
+from .kumar import kumar_smooth_set
 from .qstat import (
     bruhat_maximal,
     is_rationally_smooth,
     maximal_nrs,
     nrs_codimension,
-    nrs_set,
-    q_value,
+    q_table,
 )
 
 
@@ -50,18 +50,16 @@ def smooth_points(w):
     interval.
     """
     if is_spiral(w):
-        from .kumar import kumar_smooth_set
-
         return kumar_smooth_set(w)
     hx = hull_of(w)
     out = set()
     if type_of(w) == 1:
-        rw = descent_group(w, "right")
+        rw = descent_group(w)
         assert len(rw) == 6
         for v in hx.vertices:
             out.update(v * u for u in rw)
     else:
-        s = SIMPLES[next(iter(descents(w, "right")))]
+        s = SIMPLES[next(iter(descents(w)))]
         for i in range(6):
             v = hx.vertices[i]
             y, yp = _edge_neighbors(hx, i)
@@ -109,10 +107,7 @@ def maximal_singular(w):
     if classify_schubert(w) == "smooth":
         return set()
     if is_spiral(w):
-        from .kumar import kumar_smooth_set
-
-        smooth = kumar_smooth_set(w)
-        return bruhat_maximal(x for x in interval(w) if x not in smooth)
+        return bruhat_maximal(interval(w) - smooth_points(w))
     xs = _two_in_points(w)
     out = set(xs)
     for z in maximal_nrs(w):
@@ -242,19 +237,20 @@ class LocusReport(NamedTuple):
 
 
 def locus_report(w):
-    members = sorted(interval(w), key=lambda x: (length(x), format_word(x)))
+    tab = q_table(w)
+    words = {x: format_word(x) for x in tab.entries}
     smooth = smooth_points(w)
-    nrs_members = nrs_set(w)
+    nrs_members = tab.nrs()
     max_nrs = maximal_nrs(w)
     max_sing = maximal_singular(w)
     h = hull_of(w)
     records = []
-    for x in members:
+    for x in sorted(words, key=lambda x: (length(x), words[x])):
         records.append(
             {
-                "x": format_word(x),
+                "x": words[x],
                 "length": length(x),
-                "q": q_value(w, x),
+                "q": tab.q(x),
                 "nrs": x in nrs_members,
                 "smooth": x in smooth,
                 "shell": shell_index(h, x),

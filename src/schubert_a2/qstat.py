@@ -1,7 +1,7 @@
 """The Carrell-Peterson statistic q and the non-rationally-smooth locus.
 
-For x <= w, n(w, x) counts the reflections r with r*x <= w, and
-q(w, x) = n(w, x) - l(w).  Two independent routes are implemented:
+For x <= w, q(w, x) is the number of reflections r with r*x <= w, less
+l(w).  Two independent routes are implemented:
 
 * q_brute counts reflections directly by walking the three root strings
   through x inside the hull of w;
@@ -10,8 +10,8 @@ q(w, x) = n(w, x) - l(w).  Two independent routes are implemented:
   type, and the translation recursion q(t(a)w, x) = q(w, x) + 2 elsewhere.
 
 For a non-spiral w the point x is non-rationally-smooth (nrs) in the
-Schubert variety of w exactly when q(w, x) > 0; for spiral w the nrs test
-is the existential scan over the upper interval.
+Schubert variety of w exactly when q(w, x) > 0; for spiral w the nrs set
+is the down-closure of the q > 0 points.  Both are read from one q_table.
 """
 
 from __future__ import annotations
@@ -87,14 +87,10 @@ def reflection_partners(w, x):
     return out
 
 
-def n_brute(w, x):
-    """Number of reflections r with r*x <= w."""
-    require_below(x, w)
-    return len(reflection_partners(w, x))
-
-
 def q_brute(w, x):
-    return n_brute(w, x) - length(w)
+    """The number of reflections r with r*x <= w, less l(w)."""
+    require_below(x, w)
+    return len(reflection_partners(w, x)) - length(w)
 
 
 def reflections_over(w, x):
@@ -115,7 +111,7 @@ def is_base_case(w):
 
 
 def _orbit_centers(w, x):
-    return {(x * u).center() for u in descent_group(w, "right")}
+    return {(x * u).center() for u in descent_group(w)}
 
 
 def _orbit_meets_special(w, hx, x):
@@ -276,6 +272,13 @@ class QTable(NamedTuple):
     def q(self, x):
         return self.entries[x][0]
 
+    def nrs(self):
+        """The nrs points: q > 0, closed downward for a spiral owner."""
+        positive = [x for x, (q, _) in self.entries.items() if q > 0]
+        if not is_spiral(self.owner):
+            return set(positive)
+        return down_closure(self.entries, positive)
+
     def to_dict(self):
         from .alcove import format_word
 
@@ -304,9 +307,7 @@ def q_table(w):
 def nrs(w, x):
     """Is x non-rationally-smooth in the Schubert variety of w?"""
     require_below(x, w)
-    if not is_spiral(w):
-        return q_structured(w, x) > 0
-    return any(q_brute(w, y) > 0 for y in interval(w) if leq(x, y))
+    return x in nrs_set(w)
 
 
 def down_closure(members, tops):
@@ -316,11 +317,7 @@ def down_closure(members, tops):
 
 def nrs_set(w):
     """All x <= w that are nrs in the Schubert variety of w."""
-    members = interval(w)
-    positive = [y for y in members if q_value(w, y) > 0]
-    if not is_spiral(w):
-        return set(positive)
-    return down_closure(members, positive)
+    return q_table(w).nrs()
 
 
 def bruhat_maximal(elements):
@@ -351,8 +348,8 @@ def maximal_nrs_generic(w):
 
 def _z_pair(w):
     """wstu and wsut for the unique right descent s and ascents t < u."""
-    s = SIMPLES[next(iter(descents(w, "right")))]
-    t, u = (SIMPLES[i] for i in sorted(ascents(w, "right")))
+    s = SIMPLES[next(iter(descents(w)))]
+    t, u = (SIMPLES[i] for i in sorted(ascents(w)))
     return (w * s * t * u, w * s * u * t)
 
 
@@ -373,43 +370,44 @@ def _reflect_across_other_wall(w, hx, z2):
     return other.element() * z2
 
 
+@functools.cache
 def maximal_nrs(w):
-    """The Bruhat-maximal nrs points below w.
+    """The Bruhat-maximal nrs points below w, as a frozenset.
 
     Closed form for non-spiral w of length at least 6 (the four cases by
     chamber parity and type, with base-case adjustments), the length-5
     exception for odd chambers, and the generic scan for spiral w.
     """
     if w == E:
-        return set()
+        return frozenset()
     if is_spiral(w):
-        return maximal_nrs_generic(w)
+        return frozenset(maximal_nrs_generic(w))
     if is_rationally_smooth(w):
-        return set()
+        return frozenset()
     n = length(w)
     hx = hull_of(w)
     t = type_of(w)
     if n < 6:
         assert n == 5 and hx.parity == "odd" and t == 2
-        return {translate_out_of_chamber(w)}
+        return frozenset({translate_out_of_chamber(w)})
     if hx.parity == "even":
         if t == 1:
-            return {translate_out_of_chamber(w)}
+            return frozenset({translate_out_of_chamber(w)})
         pair = _z_pair(w)
         if is_base_case(w):
-            return {_split_in_chamber(w, pair)[0]}
-        return set(pair)
+            return frozenset({_split_in_chamber(w, pair)[0]})
+        return frozenset(pair)
     # the special segment endpoints next to vertices 1 and 5
     seg1, seg2 = special_segments(hx)
-    ps = [element_from_center(c) for c in seg1[:1] + seg2[-1:]]
+    ps = frozenset(element_from_center(c) for c in seg1[:1] + seg2[-1:])
     if t == 1:
-        return set(ps)
+        return ps
     pair = _z_pair(w)
     if is_base_case(w):
         z1, z2 = _split_in_chamber(w, pair)
         assert len(ps) == 1
-        return {z1, _reflect_across_other_wall(w, hx, z2)} | set(ps)
-    return set(pair) | set(ps)
+        return ps | {z1, _reflect_across_other_wall(w, hx, z2)}
+    return ps.union(pair)
 
 
 def nrs_codimension(w):
@@ -437,7 +435,7 @@ def shell_profile_consistent(w):
         lines.append((d, trans(hx.vertices[i].center(), d)))
     in_triangle = triangle_test(lines)
     t = type_of(w)
-    rw = descent_group(w, "right")
+    rw = descent_group(w)
     tab = q_table(w)
     for x in tab.entries:
         if any(in_triangle((x * u).center()) for u in rw):

@@ -172,7 +172,7 @@ def _setup(word):
     smooth = kumar_smooth_set(w)
     tab = q_table(w)
     psi_size = {x: len(psi_set(w, x)) for x in members}
-    rw = descent_group(w, "right")
+    rw = descent_group(w)
     if not all(
         leq(xu, w)
         and tab.q(xu) == tab.q(x)
@@ -307,6 +307,8 @@ def run_criterion(key, max_length=12, workers=1):
     criterion's cap when that is lower; the result carries that bound."""
     if max_length < 0:
         raise ValueError("max_length must be non-negative, got %d" % max_length)
+    if workers < 1:
+        raise ValueError("workers must be at least 1, got %d" % workers)
     row = CRITERIA[key]
     bound = max_length if row.cap is None else min(max_length, row.cap)
     words = [word for word, spiral in _owners(bound) if row.spiral in (None, spiral)]

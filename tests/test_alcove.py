@@ -150,18 +150,19 @@ def test_word_length_subadditive():
 
 
 def test_descents_and_left_groups():
-    assert descents(E, "right") == set()
+    assert descents(E) == set()
     for w in ELEMENTS_12:
         if is_spiral(w):
             continue
-        lw = descent_group(w, "left")
+        # the left descents of w are the right descents of its inverse
+        left = {i for i, s in enumerate(SIMPLES) if length(s * w) < length(w)}
+        assert descents(w.inverse()) == left
+        lw = descent_group(w.inverse())
         if chamber_parity(w) == "even":
-            assert len(descents(w, "left")) == 2
+            assert len(descents(w.inverse())) == 2
             assert len(lw) == 6
         else:
             assert len(lw) == 2
-    with pytest.raises(ValueError):
-        descents(E, "sideways")
 
 
 def test_types():
@@ -170,7 +171,7 @@ def test_types():
     for w in ELEMENTS_12:
         if w != E:
             assert type_of(w) in (1, 2)
-            assert len(descents(w, "right")) == 3 - type_of(w)
+            assert len(descents(w)) == 3 - type_of(w)
 
 
 def test_classify_examples():

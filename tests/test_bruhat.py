@@ -39,7 +39,6 @@ from schubert_a2.bruhat import (
     line_meet,
     oracle_interval,
     shell_index,
-    special_segment,
     string_step,
     trans,
     triangle_test,

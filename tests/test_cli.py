@@ -112,6 +112,14 @@ def test_verify_rejects_negative_bound(capture):
     assert "--max-length must be non-negative" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_verify_rejects_workers_below_one(capture, workers):
+    code, out, err = capture("verify", "--suite", "q", "--max-length", "2",
+                             "--workers", workers)
+    assert code == 2 and out == ""
+    assert err == "error: --workers must be at least 1, got %s\n" % workers
+
+
 def test_not_below_message_uses_words(capture):
     code, _, err = capture("q", "01", "012")
     assert code == 3
@@ -187,3 +195,24 @@ def test_render_bad_layer(tmp_path, capture):
     code, _, err = capture("render", "0121", "--out", str(tmp_path / "x.svg"),
                            "--layers", "nonsense")
     assert code == 2 and "unknown layer" in err
+
+
+def test_render_out_in_missing_directory(tmp_path, capture):
+    out = tmp_path / "missing" / "x.svg"
+    code, stdout, err = capture("render", "0121", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and str(out) in err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("config", [None, "{not json"])
+def test_render_bad_config(tmp_path, capture, monkeypatch, config):
+    cfg = tmp_path / "colors.json"
+    if config is not None:
+        cfg.write_text(config)
+    monkeypatch.setenv("SCHUBERT_A2_CONFIG", str(cfg))
+    out = tmp_path / "h.svg"
+    code, stdout, err = capture("render", "0121", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()

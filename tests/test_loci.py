@@ -1,5 +1,7 @@
 """Smooth loci, maximal singular points, codimension reports, censuses."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -18,6 +20,7 @@ from schubert_a2.alcove import (
     word_to_element,
 )
 from schubert_a2.bruhat import hexagon, interval, leq
+from schubert_a2.kumar import kumar_smooth_set
 from schubert_a2.loci import (
     attached_edge_lengths,
     classify_schubert,
@@ -68,8 +71,6 @@ def test_smooth_counts_never_exceed_36():
 
 
 def test_smooth_matches_kumar():
-    from schubert_a2.kumar import kumar_smooth_set
-
     for w in ELEMENTS:
         if length(w) <= 7:
             assert smooth_points(w) == kumar_smooth_set(w)
@@ -179,8 +180,6 @@ def test_codim7_absorption():
 
 
 def test_downward_closures():
-    from schubert_a2.kumar import kumar_smooth_set
-
     random.seed(31)
     for w in random.sample(ELEMENTS, 60):
         members = interval(w)
@@ -216,3 +215,32 @@ def test_spiral_report_uses_kumar():
     assert rep.summary["classification"] == "singular"
     assert rep.summary["singular_codimension"] == 2
     assert rep.summary["nrs_codimension"] == 3
+
+
+# sha256 of every report with l <= 10, one sorted-key JSON line per owner,
+# owners by length then word.
+LOCUS_REPORTS_L10_SHA256 = "13193ea08dbbd843556b12fa177be9652d62e890292bf3bf7f108bfbb2c2a3ac"
+
+
+def test_locus_reports_are_pinned():
+    h = hashlib.sha256()
+    for w in sorted(elements_of_length_at_most(10), key=lambda v: (length(v), format_word(v))):
+        h.update((json.dumps(locus_report(w).to_dict(), sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == LOCUS_REPORTS_L10_SHA256
+
+
+@pytest.mark.parametrize("word", ["0120120", "012101201"])
+def test_locus_report_evaluates_each_locus_once(word):
+    w = parse_word(word)
+    maximal_nrs.cache_clear()
+    kumar_smooth_set.cache_clear()
+    locus_report(w)
+    assert maximal_nrs.cache_info().misses == 1
+    assert kumar_smooth_set.cache_info().misses == (1 if is_spiral(w) else 0)
+
+
+def test_memoized_loci_are_frozensets():
+    for word in ("", "0121", "0120120", "012101201"):
+        w = parse_word(word)
+        assert isinstance(maximal_nrs(w), frozenset)
+        assert isinstance(kumar_smooth_set(w), frozenset)

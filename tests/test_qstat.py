@@ -171,7 +171,7 @@ def test_simple_move_q_invariance():
     for w in random.sample(NONSPIRAL, 40):
         tab = q_table(w)
         for x in tab.entries:
-            for u in descent_group(w, "right"):
+            for u in descent_group(w):
                 assert tab.q(x * u) == tab.q(x)
 
 

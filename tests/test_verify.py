@@ -16,6 +16,14 @@ def test_negative_bound_rejected():
         run_suite("q", max_length=-1)
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_rejected(workers):
+    with pytest.raises(ValueError, match="at least 1"):
+        run_criterion("q", max_length=2, workers=workers)
+    with pytest.raises(ValueError, match="at least 1"):
+        run_suite("q", max_length=2, workers=workers)
+
+
 def test_suite_names_cover_criteria():
     assert set(SUITES) == {"hexagon", "q", "lookup", "kumar", "loci", "all"}
     assert len(SUITES["all"]) == 11
