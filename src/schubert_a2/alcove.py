@@ -47,10 +47,6 @@ class InvalidWordError(ValueError):
     """A word contains a letter outside {0, 1, 2}."""
 
 
-class NotAdjacentError(ValueError):
-    """Two alcoves do not share an edge."""
-
-
 class SpiralInputError(ValueError):
     """A spiral element was passed to an operation defined off the strips."""
 
@@ -189,16 +185,6 @@ class Reflection(NamedTuple):
         return AffineElement(
             (self.level * self.root[0], self.level * self.root[1]), fin
         )
-
-
-def reflect_point(point, root, level):
-    """Mirror a scaled point across the line (root, v) = level."""
-    p = pairing(point, root)
-    d = 6 * level - 2 * p  # change in the scaled pairing with `root`
-    # v' = v + ((6k - 2p)/6) * root; scaled coordinate shift is d/2 * G*root.
-    g = (2 * root[0] - root[1], -root[0] + 2 * root[1])
-    assert d % 2 == 0
-    return (point[0] + d // 2 * g[0], point[1] + d // 2 * g[1])
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +462,6 @@ def is_twisted_spiral(w):
             assert length(z) == n - 1
             return True
     return False
-
-
-def wall_label(w, neighbor):
-    """The label a with neighbor = w*s_a, for alcoves sharing an edge."""
-    for i in SIMPLE_INDICES:
-        if neighbor == w * SIMPLES[i]:
-            return i
-    raise NotAdjacentError("alcoves %s and %s do not share an edge" % (w, neighbor))
 
 
 # ---------------------------------------------------------------------------

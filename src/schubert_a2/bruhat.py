@@ -102,6 +102,20 @@ def string_step(point, direction, sign=1):
     raise AssertionError("no center step from %r" % (point,))
 
 
+def string_chord(h, point, d):
+    """Centers of hull h on the d-string through point, point left out.
+
+    The walk runs outward in the +d direction, then in the -d direction.
+    """
+    out = []
+    for sign in (1, -1):
+        cur = string_step(point, d, sign)
+        while h.contains(cur):
+            out.append(cur)
+            cur = string_step(cur, d, sign)
+    return out
+
+
 def string_direction(p, q):
     """The root direction of the string through two distinct centers, or None."""
     for d in POSITIVE_ROOTS:
@@ -266,7 +280,7 @@ def interval(w):
 
 def shell_index(h, x):
     """The k with x on the k-shell of the hull (0-shell is the boundary)."""
-    c = x.center() if hasattr(x, "center") else x
+    c = x.center()
     if not h.contains(c):
         raise ValueError("element outside the hull of %s" % (h.owner,))
     m = min(
@@ -304,16 +318,7 @@ def diagonal_centers(hexagon_, i):
     """Centers in the hull on the root string through vertex i, transversally."""
     d = diagonal_direction(hexagon_, i)
     v = hexagon_.vertices[i].center()
-    out = [v]
-    for sign in (1, -1):
-        cur = v
-        while True:
-            cur = string_step(cur, d, sign)
-            if not hexagon_.contains(cur):
-                break
-            out.append(cur)
-    out.sort(key=lambda p: pairing(p, d))
-    return out
+    return sorted([v] + string_chord(hexagon_, v, d), key=lambda p: pairing(p, d))
 
 
 def special_segments(hexagon_):

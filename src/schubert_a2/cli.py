@@ -21,7 +21,7 @@ from .alcove import (
 from .bruhat import hexagon, hexagon_to_dict, leq, leq_oracle
 from .loci import enumerate_smooth_varieties, locus_report
 from .qstat import NotComparableError, q_table, q_value, require_below
-from .render import LAYERS, RenderSpec, render
+from .render import LAYERS, ConfigError, RenderSpec, render
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -231,10 +231,7 @@ def _cmd_render(args):
         doc = render(spec, payload)
         with open(args.out, "w") as fh:
             fh.write(doc)
-    except json.JSONDecodeError as exc:
-        print("error: SCHUBERT_A2_CONFIG is not valid JSON: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:  # the config file or the --out directory is missing
+    except (ConfigError, OSError) as exc:  # a bad config, or a missing --out directory
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     if args.json:

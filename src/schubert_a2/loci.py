@@ -198,7 +198,10 @@ def enumerate_smooth_varieties():
     ]
 
 
-def short_edge_family(max_length=13):
+_CENSUS_LENGTH = 13
+
+
+def short_edge_family():
     """The small-hexagon census: owners with no long attached hexagon edge.
 
     Non-spiral owners enter when both attached hexagon edges hold fewer
@@ -209,14 +212,14 @@ def short_edge_family(max_length=13):
     hexagon world.)
     """
     out = []
-    for w in elements_of_length_at_most(max_length):
+    for w in elements_of_length_at_most(_CENSUS_LENGTH):
         if is_spiral(w):
             if length(w) <= 3:
                 out.append(w)
         elif max(attached_edge_lengths(w)) < 6:
             out.append(w)
     longest = max(length(w) for w in out)
-    assert longest + 4 <= max_length, "short-edge census bound too small"
+    assert longest + 4 <= _CENSUS_LENGTH, "short-edge census bound too small"
     return out
 
 

@@ -26,7 +26,6 @@ from .alcove import (
     SpiralInputError,
     ascents,
     chamber_of,
-    chamber_parity,
     descent_group,
     descents,
     display_word,
@@ -46,7 +45,7 @@ from .bruhat import (
     leq,
     shell_index,
     special_segments,
-    string_step,
+    string_chord,
     trans,
     triangle_test,
 )
@@ -76,14 +75,9 @@ def reflection_partners(w, x):
     out = []
     for d in POSITIVE_ROOTS:
         px = pairing(cx, d)
-        for sign in (1, -1):
-            cur = cx
-            while True:
-                cur = string_step(cur, d, sign)
-                if not h.contains(cur):
-                    break
-                if (pairing(cur, d) + px) % 6 == 0:
-                    out.append((d, cur))
+        for c in string_chord(h, cx, d):
+            if (pairing(c, d) + px) % 6 == 0:
+                out.append((d, c))
     return out
 
 
@@ -91,17 +85,6 @@ def q_brute(w, x):
     """The number of reflections r with r*x <= w, less l(w)."""
     require_below(x, w)
     return len(reflection_partners(w, x)) - length(w)
-
-
-def reflections_over(w, x):
-    """Elements r*x <= w with r*x > x (one reflection step up inside w)."""
-    lx = length(x)
-    out = []
-    for _, c in reflection_partners(w, x):
-        y = element_from_center(c)
-        if length(y) > lx:
-            out.append(y)
-    return out
 
 
 def is_base_case(w):
@@ -315,9 +298,10 @@ def down_closure(members, tops):
     return {x for x in members if any(leq(x, y) for y in tops)}
 
 
+@functools.cache
 def nrs_set(w):
-    """All x <= w that are nrs in the Schubert variety of w."""
-    return q_table(w).nrs()
+    """All x <= w that are nrs in the Schubert variety of w, as a frozenset."""
+    return frozenset(q_table(w).nrs())
 
 
 def bruhat_maximal(elements):
@@ -418,45 +402,20 @@ def nrs_codimension(w):
     return length(w) - max(length(z) for z in points)
 
 
-def shell_profile_consistent(w):
-    """Optional consistency assertion for even-chamber owners.
-
-    Away from the central triangle cut out by the three main diagonals, q
-    should equal 2*(k//3) on the k-shell for a type 1 owner, with an extra
-    +1 on shells k = 2 mod 3 for type 2.  Checked against the structured
-    values; brute counting stays authoritative on any discrepancy.
-    """
-    if is_spiral(w) or chamber_parity(w) != "even":
-        raise ValueError("even-chamber non-spiral owner required: %s" % (w,))
-    hx = hull_of(w)
-    lines = []
-    for i in (0, 1, 2):
-        d = diagonal_direction(hx, i)
-        lines.append((d, trans(hx.vertices[i].center(), d)))
-    in_triangle = triangle_test(lines)
-    t = type_of(w)
-    rw = descent_group(w)
-    tab = q_table(w)
-    for x in tab.entries:
-        if any(in_triangle((x * u).center()) for u in rw):
-            continue
-        k = shell_index(hx, x)
-        expect = 2 * (k // 3) + (1 if (t == 2 and k % 3 == 2) else 0)
-        if tab.q(x) != expect:
-            return False
-    return True
-
-
 def lookup_holds(w):
     """One-step reflection lookup detects nrs at every x <= w."""
     members = interval(w)
-    qmap = {x: q_brute(w, x) for x in members}
-    positive = {x for x in members if qmap[x] > 0}
-    truly_nrs = down_closure(members, positive)
+    n = length(w)
+    positive = set()
+    up = {}  # x -> the r*x <= w with r*x > x (one reflection step up)
     for x in members:
-        witnessed = qmap[x] > 0 or any(
-            y in positive for y in reflections_over(w, x)
-        )
-        if (x in truly_nrs) != witnessed:
-            return False
-    return True
+        partners = [element_from_center(c) for _, c in reflection_partners(w, x)]
+        if len(partners) > n:  # q(w, x) > 0
+            positive.add(x)
+        lx = length(x)
+        up[x] = [y for y in partners if length(y) > lx]
+    truly_nrs = down_closure(members, positive)
+    return all(
+        (x in truly_nrs) == (x in positive or not positive.isdisjoint(up[x]))
+        for x in members
+    )

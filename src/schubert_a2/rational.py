@@ -146,14 +146,14 @@ def _term_key(e):
     return (e[0] + e[1] + e[2], e)
 
 
-def p_str(p, names=("b0", "b1", "b2")):
+def p_str(p):
     if not p:
         return "0"
     parts = []
     for e in sorted(p, key=_term_key, reverse=True):
         c = p[e]
         factors = []
-        for name, k in zip(names, e):
+        for name, k in zip(("b0", "b1", "b2"), e):
             if k == 1:
                 factors.append(name)
             elif k:

@@ -47,12 +47,41 @@ DEFAULT_COLORS = {
 }
 
 
+class ConfigError(ValueError):
+    """SCHUBERT_A2_CONFIG names a file that is not a valid color config."""
+
+
+def _color_ok(value, default):
+    if isinstance(default, list):
+        return (isinstance(value, list) and len(value) > 0
+                and all(isinstance(c, str) for c in value))
+    return isinstance(value, str)
+
+
 def _colors():
+    """DEFAULT_COLORS, overridden by the JSON object in SCHUBERT_A2_CONFIG.
+
+    Each key must be a key of DEFAULT_COLORS, and each value a color string,
+    or a non-empty list of them for "heat".
+    """
     colors = dict(DEFAULT_COLORS)
     path = os.environ.get("SCHUBERT_A2_CONFIG")
     if path:
-        with open(path) as fh:
-            colors.update(json.load(fh))
+        try:
+            with open(path) as fh:
+                user = json.load(fh)
+        except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
+            raise ConfigError("SCHUBERT_A2_CONFIG cannot be read as JSON: %s" % exc)
+        if not isinstance(user, dict):
+            raise ConfigError("SCHUBERT_A2_CONFIG must hold a JSON object")
+        for key, value in user.items():
+            if key not in DEFAULT_COLORS:
+                raise ConfigError("SCHUBERT_A2_CONFIG has unknown key %r" % key)
+            if not _color_ok(value, DEFAULT_COLORS[key]):
+                raise ConfigError(
+                    "SCHUBERT_A2_CONFIG has a bad value for %r: %r" % (key, value)
+                )
+        colors.update(user)
     return colors
 
 

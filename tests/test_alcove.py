@@ -12,7 +12,6 @@ from schubert_a2.alcove import (
     Q0,
     AffineElement,
     IdentityTypeError,
-    NotAdjacentError,
     Reflection,
     S0,
     S1,
@@ -36,17 +35,37 @@ from schubert_a2.alcove import (
     orientation,
     pairing,
     parse_word,
-    reflect_point,
     spiral_element,
     spiral_factorizations,
     translate_into_chamber,
     translation,
     type_of,
-    wall_label,
     word_to_element,
 )
 
 words = st.lists(st.integers(0, 2), max_size=10)
+
+
+def reflect_point(point, root, level):
+    """Mirror a scaled point across the line (root, v) = level."""
+    p = pairing(point, root)
+    d = 6 * level - 2 * p  # change in the scaled pairing with `root`
+    # v' = v + ((6k - 2p)/6) * root; scaled coordinate shift is d/2 * G*root.
+    g = (2 * root[0] - root[1], -root[0] + 2 * root[1])
+    assert d % 2 == 0
+    return (point[0] + d // 2 * g[0], point[1] + d // 2 * g[1])
+
+
+class NotAdjacentError(ValueError):
+    """Two alcoves do not share an edge."""
+
+
+def wall_label(w, neighbor):
+    """The label a with neighbor = w*s_a, for alcoves sharing an edge."""
+    for i, s in enumerate(SIMPLES):
+        if neighbor == w * s:
+            return i
+    raise NotAdjacentError("alcoves %s and %s do not share an edge" % (w, neighbor))
 
 
 def all_elements(n):

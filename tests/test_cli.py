@@ -183,12 +183,14 @@ def test_render_heatmap_rings(tmp_path, capture):
 
 def test_render_config_override(tmp_path, capture, monkeypatch):
     cfg = tmp_path / "colors.json"
-    cfg.write_text(json.dumps({"hexagon": "#123456"}))
+    cfg.write_text(json.dumps({"hexagon": "#123456", "heat": ["#abcdef"]}))
     monkeypatch.setenv("SCHUBERT_A2_CONFIG", str(cfg))
     out = tmp_path / "h.svg"
-    code, _, _ = capture("render", "0121", "--out", str(out))
+    code, _, _ = capture("render", "0121", "--out", str(out),
+                         "--layers", "hexagon,q-heatmap", "--payload", "q")
     assert code == 0
-    assert "#123456" in out.read_text()
+    text = out.read_text()
+    assert "#123456" in text and "#abcdef" in text
 
 
 def test_render_bad_layer(tmp_path, capture):
@@ -205,7 +207,16 @@ def test_render_out_in_missing_directory(tmp_path, capture):
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("config", [None, "{not json"])
+@pytest.mark.parametrize("config", [
+    None,  # missing file
+    "{not json",
+    "[1]",  # not an object
+    '{"hexagon": 5}',  # not a string
+    '{"hexagn": "#fff"}',  # unknown key
+    '{"heat": "#fff"}',  # not a list
+    '{"heat": []}',  # empty list
+    '{"heat": ["#fff", 1]}',  # list member not a string
+])
 def test_render_bad_config(tmp_path, capture, monkeypatch, config):
     cfg = tmp_path / "colors.json"
     if config is not None:
@@ -214,5 +225,5 @@ def test_render_bad_config(tmp_path, capture, monkeypatch, config):
     out = tmp_path / "h.svg"
     code, stdout, err = capture("render", "0121", "--out", str(out))
     assert code == 2 and stdout == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: SCHUBERT_A2_CONFIG ") and err.count("\n") == 1
     assert not out.exists()

@@ -1,5 +1,6 @@
 """The statistic q, the nrs locus, maximal nrs points, lookup."""
 
+import hashlib
 import random
 
 import pytest
@@ -23,7 +24,18 @@ from schubert_a2.alcove import (
     type_of,
     word_to_element,
 )
-from schubert_a2.bruhat import hexagon, hull_of, interval, leq, shell_index
+from schubert_a2.bruhat import (
+    diagonal_centers,
+    diagonal_direction,
+    hexagon,
+    hull_of,
+    interval,
+    leq,
+    shell_index,
+    trans,
+    triangle_test,
+)
+from schubert_a2.kumar import psi_set
 from schubert_a2.loci import elements_of_length_at_most
 from schubert_a2.qstat import (
     NotComparableError,
@@ -39,10 +51,15 @@ from schubert_a2.qstat import (
     q_structured,
     q_table,
     q_value,
-    shell_profile_consistent,
+    reflection_partners,
 )
 
-ELEMENTS = sorted(elements_of_length_at_most(9), key=lambda w: (length(w), format_word(w)))
+
+def _by_length(w):
+    return (length(w), format_word(w))
+
+
+ELEMENTS = sorted(elements_of_length_at_most(9), key=_by_length)
 NONSPIRAL = [w for w in ELEMENTS if not is_spiral(w)]
 
 
@@ -242,6 +259,37 @@ def test_nrs_codimension():
             assert nrs_codimension(spiral_element(pattern, n)) == 3
 
 
+def _q_layer_lines(bound):
+    for w in sorted(elements_of_length_at_most(bound), key=_by_length):
+        yield "owner %s" % format_word(w)
+        for x in sorted(interval(w), key=_by_length):
+            yield "%s %r %d %r" % (format_word(x), reflection_partners(w, x),
+                                   q_brute(w, x), sorted(psi_set(w, x)))
+        yield "lookup %s" % lookup_holds(w)
+        if not is_spiral(w):
+            h = hull_of(w)
+            yield "diagonals %r" % [diagonal_centers(h, i) for i in range(6)]
+
+
+def test_q_layer_outputs_are_pinned():
+    # The reflection walk in order, q, Psi, the lookup oracle and the hull
+    # diagonals of every owner with l <= 10, as the separate string walks
+    # of reflection_partners and diagonal_centers computed them.
+    text = "\n".join(_q_layer_lines(10))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1e70aa6f1c4832de7e7d56b22308c2fdbb08d4046374bbe40ecbcaa4910790ad"
+    )
+
+
+def test_nrs_set_is_one_memoized_frozenset():
+    w = parse_word("0120120102")
+    nrs_set.cache_clear()
+    assert isinstance(nrs_set(w), frozenset)
+    assert [x for x in interval(w) if nrs(w, x)]
+    info = nrs_set.cache_info()
+    assert info.misses == 1 and info.hits == len(interval(w))
+
+
 def test_lookup_holds():
     for w in ELEMENTS:
         assert lookup_holds(w), format_word(w)
@@ -257,6 +305,34 @@ def test_spiral_lookup_nontrivial_case_exists():
     assert found
 
 
+def shell_profile_consistent(w):
+    """Even-chamber shell profile of q, checked against the structured values.
+
+    Away from the central triangle cut out by the three main diagonals, q
+    should equal 2*(k//3) on the k-shell for a type 1 owner, with an extra
+    +1 on shells k = 2 mod 3 for type 2.
+    """
+    if is_spiral(w) or chamber_parity(w) != "even":
+        raise ValueError("even-chamber non-spiral owner required: %s" % (w,))
+    hx = hull_of(w)
+    lines = []
+    for i in (0, 1, 2):
+        d = diagonal_direction(hx, i)
+        lines.append((d, trans(hx.vertices[i].center(), d)))
+    in_triangle = triangle_test(lines)
+    t = type_of(w)
+    rw = descent_group(w)
+    tab = q_table(w)
+    for x in tab.entries:
+        if any(in_triangle((x * u).center()) for u in rw):
+            continue
+        k = shell_index(hx, x)
+        expect = 2 * (k // 3) + (1 if (t == 2 and k % 3 == 2) else 0)
+        if tab.q(x) != expect:
+            return False
+    return True
+
+
 def test_shell_profile_consistency():
     checked = 0
     for w in NONSPIRAL:
@@ -269,8 +345,6 @@ def test_shell_profile_consistency():
 
 
 def test_psi_count_matches_q():
-    from schubert_a2.kumar import psi_set
-
     for w in [x for x in ELEMENTS if length(x) <= 7]:
         lw = length(w)
         for x in interval(w):
