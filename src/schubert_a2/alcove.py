@@ -119,8 +119,10 @@ _FIN_SAT = _FIN_INDEX[((0, -1), (-1, 0))]  # reflection in a1 + a2
 
 _FIN_OF_ROOT = {A1: _FIN_S1, A2: _FIN_S2, AT: _FIN_SAT}
 
-# Center of the fundamental alcove in scaled coordinates.
+# Center of the fundamental alcove in scaled coordinates, and its image
+# under each finite element.
 Q0 = (1, 1)
+_FIN_Q0 = tuple(_mat_vec(pm, Q0) for pm in _FIN_PMATS)
 
 
 class AffineElement(NamedTuple):
@@ -150,7 +152,10 @@ class AffineElement(NamedTuple):
         return (p[0] + 3 * g[0], p[1] + 3 * g[1])
 
     def center(self):
-        return self.act(Q0)
+        """act(Q0), with the finite part read from _FIN_Q0."""
+        bx, by = _FIN_Q0[self.fin]
+        l0, l1 = self.lam
+        return (bx + 6 * l0 - 3 * l1, by + 6 * l1 - 3 * l0)
 
     def act_root(self, root):
         """Image of a finite root under the finite part of w."""
@@ -207,8 +212,7 @@ def element_from_center(point):
     """The unique w with w(q) equal to the given center."""
     if not is_center(point):
         raise ValueError("not an alcove center: %r" % (point,))
-    for fin in range(6):
-        base = _mat_vec(_FIN_PMATS[fin], Q0)
+    for fin, base in enumerate(_FIN_Q0):
         dx, dy = point[0] - base[0], point[1] - base[1]
         # invert 3*G: lam = (2dx + dy, dx + 2dy)/9
         if (2 * dx + dy) % 9 == 0 and (dx + 2 * dy) % 9 == 0:

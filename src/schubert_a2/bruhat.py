@@ -13,6 +13,12 @@ degenerate_hull on them.  Lines are (direction, trans value) pairs;
 line_meet intersects two of them exactly, and triangle_test decides
 membership in the closed triangle that three of them cut out.
 
+Along a root string in direction d the centers are p + t * unit(d) for
+integers t outside one residue class mod 3, and a step in t moves the other
+two trans values by 3 each.  So a hull meets the string in an integer
+t-interval, which chord_range reads off the slab bounds; chords, diagonals
+and edge segments are listed from such intervals without stepping.
+
 An independent subexpression oracle (forward dynamic program over a reduced
 word) is provided for cross-checking.
 """
@@ -84,36 +90,56 @@ def triangle_test(lines):
     return inside
 
 
-# Change of the scaled coordinate pair for one center-to-center step along a
-# string in direction d: alternately one third and two thirds of a root.
-_STEP = {
-    (1, 0): ((2, -1), (4, -2)),
-    (0, 1): ((-1, 2), (-2, 4)),
-    (1, 1): ((1, 1), (2, 2)),
+# unit(d): a third of the root d in scaled coordinates.  It adds 2 to the
+# d-pairing, 0 to trans(., d) and +-3 to the other two trans values.
+_UNIT = {(1, 0): (2, -1), (0, 1): (-1, 2), (1, 1): (1, 1)}
+
+# Per d: the index of d in POSITIVE_ROOTS, then (index, trans(_UNIT[d], e) // 3)
+# for the two other directions e, whose slabs the d-strings cross.
+_CROSSINGS = {
+    d: (POSITIVE_ROOTS.index(d),
+        tuple((j, trans(u, e) // 3) for j, e in enumerate(POSITIVE_ROOTS) if e != d))
+    for d, u in _UNIT.items()
 }
 
 
-def string_step(point, direction, sign=1):
-    """The next center on the string through `point` in direction sign*d."""
-    for dx, dy in _STEP[direction]:
-        cand = (point[0] + sign * dx, point[1] + sign * dy)
-        if is_center(cand):
-            return cand
-    raise AssertionError("no center step from %r" % (point,))
+def chord_range(h, point, d):
+    """The integer interval (lo, hi) of the t with point + t * unit(d) in
+    hull h; lo > hi when the d-string through point misses h.  Each of the
+    two slabs the string crosses, lo <= s + 3 * sign * t <= hi, cuts out a
+    t-interval."""
+    x, y = point
+    s = (x + 2 * y, 2 * x + y, x - y)  # trans(point, e), POSITIVE_ROOTS order
+    i, crossings = _CROSSINGS[d]
+    blo, bhi = h.bounds[i]
+    if not blo <= s[i] <= bhi:
+        return (0, -1)
+    lo, hi = [], []
+    for j, sign in crossings:
+        blo, bhi = h.bounds[j]
+        if sign < 0:
+            blo, bhi = -bhi, -blo
+        lo.append(-((sign * s[j] - blo) // 3))
+        hi.append((bhi - sign * s[j]) // 3)
+    return (max(lo), min(hi))
+
+
+def string_centers(point, d, ts):
+    """The centers point + t * unit(d) for t in ts, in the order of ts.
+
+    For a center point these are the t not congruent to pairing(point, d)
+    mod 3; the other t give points on the alcove walls.
+    """
+    (dx, dy), skip = _UNIT[d], pairing(point, d) % 3
+    x, y = point
+    return [(x + t * dx, y + t * dy) for t in ts if t % 3 != skip]
 
 
 def string_chord(h, point, d):
-    """Centers of hull h on the d-string through point, point left out.
-
-    The walk runs outward in the +d direction, then in the -d direction.
-    """
-    out = []
-    for sign in (1, -1):
-        cur = string_step(point, d, sign)
-        while h.contains(cur):
-            out.append(cur)
-            cur = string_step(cur, d, sign)
-    return out
+    """Centers of hull h on the d-string through point (a center of h),
+    point left out: outward in the +d direction, then in the -d direction."""
+    lo, hi = chord_range(h, point, d)
+    return string_centers(point, d, [*range(1, hi + 1), *range(-1, lo - 1, -1)])
 
 
 def string_direction(p, q):
@@ -131,13 +157,9 @@ def centers_between(p, q):
     d = string_direction(p, q)
     if d is None:
         raise ValueError("centers %r, %r are not on a common string" % (p, q))
-    sign = 1 if pairing(q, d) > pairing(p, d) else -1
-    out = [p]
-    cur = p
-    while cur != q:
-        cur = string_step(cur, d, sign)
-        out.append(cur)
-    return out
+    t = (pairing(q, d) - pairing(p, d)) // 2
+    step = 1 if t > 0 else -1
+    return string_centers(p, d, range(0, t + step, step))
 
 
 class Hull(NamedTuple):
@@ -318,7 +340,8 @@ def diagonal_centers(hexagon_, i):
     """Centers in the hull on the root string through vertex i, transversally."""
     d = diagonal_direction(hexagon_, i)
     v = hexagon_.vertices[i].center()
-    return sorted([v] + string_chord(hexagon_, v, d), key=lambda p: pairing(p, d))
+    lo, hi = chord_range(hexagon_, v, d)
+    return string_centers(v, d, range(lo, hi + 1))
 
 
 def special_segments(hexagon_):

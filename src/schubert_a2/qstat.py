@@ -3,8 +3,9 @@
 For x <= w, q(w, x) is the number of reflections r with r*x <= w, less
 l(w).  Two independent routes are implemented:
 
-* q_brute counts reflections directly by walking the three root strings
-  through x inside the hull of w;
+* q_brute counts reflections directly: on each of the three root strings
+  through x, the hull of w cuts out an integer t-interval (chord_range),
+  and the reflections are the t of it in one residue class mod 3;
 * q_structured evaluates the closed-form description: four base-case
   profiles, fixed values on the 0-, 1- and 2-shells by chamber parity and
   type, and the translation recursion q(t(a)w, x) = q(w, x) + 2 elsewhere.
@@ -39,13 +40,14 @@ from .alcove import (
     type_of,
 )
 from .bruhat import (
+    chord_range,
     diagonal_direction,
     hull_of,
     interval,
     leq,
     shell_index,
     special_segments,
-    string_chord,
+    string_centers,
     trans,
     triangle_test,
 )
@@ -67,17 +69,18 @@ def reflection_partners(w, x):
     """Centers y = r(x) inside the hull of w, per positive root direction.
 
     A reflection r = s_{d,k} carries x to the center y on the d-string
-    through x with scaled pairings summing to 6k; those are exactly the
-    centers of opposite orientation class mod 6 on the string.
+    through x with scaled pairings summing to 6k.  With y = x + t * unit(d)
+    that is 2 * pairing(x, d) + 2t = 6k, so the partners are the t of the
+    hull's chord with t = -pairing(x, d) mod 3, in string_chord's order.
     """
     h = hull_of(w)
     cx = x.center()
     out = []
     for d in POSITIVE_ROOTS:
-        px = pairing(cx, d)
-        for c in string_chord(h, cx, d):
-            if (pairing(c, d) + px) % 6 == 0:
-                out.append((d, c))
+        lo, hi = chord_range(h, cx, d)
+        t = -pairing(cx, d) % 3
+        ts = [*range(t, hi + 1, 3), *range(t - 3, lo - 1, -3)]
+        out += [(d, c) for c in string_centers(cx, d, ts)]
     return out
 
 
@@ -294,8 +297,18 @@ def nrs(w, x):
 
 
 def down_closure(members, tops):
-    """The members lying below some element of tops."""
-    return {x for x in members if any(leq(x, y) for y in tops)}
+    """The members lying below some element of tops.
+
+    x <= y is membership of x's center in y's hull (as in leq), so each
+    top's hull and each member's center is built once.
+    """
+    hulls = [hull_of(y) for y in tops]
+    out = set()
+    for x in members:
+        c = x.center()
+        if any(h.contains(c) for h in hulls):
+            out.add(x)
+    return out
 
 
 @functools.cache

@@ -280,7 +280,7 @@ CRITERIA = {
     "hexagon": Criterion("hexagon-theorem", False, None, _hull),
     "spiral-hulls": Criterion("spiral-hulls", True, None, _hull),
     "q": Criterion("q-equivalence", False, None, _q),
-    "translation": Criterion("translation-move", False, 10, _translation),
+    "translation": Criterion("translation-move", False, None, _translation),
     "heredity": Criterion("q-heredity", False, None, _heredity),
     "lookup": Criterion("lookup", None, None, _lookup),
     "kumar": Criterion("kumar-smooth-locus", None, 9, _kumar),

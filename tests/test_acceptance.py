@@ -36,8 +36,8 @@ def test_03_q_equivalence():
 
 
 def test_04_translation_move():
-    """q(t(a)w, x) = q(w, x) + 2 and l(t(a)w) = l(w) + 4, l(w) <= 10."""
-    _run("translation", max_length=10)
+    """q(t(a)w, x) = q(w, x) + 2 and l(t(a)w) = l(w) + 4, l(w) <= 12."""
+    _run("translation", max_length=12)
 
 
 def test_05_heredity_and_lookup():

@@ -42,6 +42,7 @@ from schubert_a2.alcove import (
     type_of,
     word_to_element,
 )
+from walk import string_step
 
 words = st.lists(st.integers(0, 2), max_size=10)
 
@@ -132,6 +133,12 @@ def test_action_is_homomorphism(wa, wb):
     a, b = word_to_element(wa), word_to_element(wb)
     p = b.act(Q0)
     assert (a * b).act(Q0) == a.act(p)
+
+
+def test_center_is_the_image_of_q0():
+    # center() reads the finite part from a table; act() is the matrix path
+    for w in ELEMENTS_12:
+        assert w.center() == w.act(Q0), format_word(w)
 
 
 def test_centers_are_the_two_residue_classes():
@@ -295,8 +302,6 @@ def test_wall_labels():
 
 def test_string_side_labels():
     """Alcoves on one root string carry equal labels on the same side."""
-    from schubert_a2.bruhat import string_step
-
     random.seed(13)
     for d in POSITIVE_ROOTS:
         for _ in range(10):

@@ -17,8 +17,10 @@ from schubert_a2.alcove import (
     SpiralInputError,
     chamber_parity,
     format_word,
+    is_center,
     is_spiral,
     length,
+    pairing,
     parse_word,
     spiral_element,
     translate_into_chamber,
@@ -27,8 +29,10 @@ from schubert_a2.alcove import (
 )
 from schubert_a2.bruhat import (
     centers_between,
+    chord_range,
     degenerate_hull,
     diagonal_centers,
+    diagonal_direction,
     diagonals_and_special,
     hexagon,
     hexagon_to_dict,
@@ -39,11 +43,12 @@ from schubert_a2.bruhat import (
     line_meet,
     oracle_interval,
     shell_index,
-    string_step,
+    string_chord,
     trans,
     triangle_test,
 )
 from schubert_a2.loci import elements_of_length_at_most
+from walk import UNIT, string_step, walk_between, walk_chord
 
 ELEMENTS = sorted(elements_of_length_at_most(10), key=lambda w: (length(w), format_word(w)))
 
@@ -274,6 +279,56 @@ def test_subword_gives_leq(wa, extra):
     big = word_to_element(wa) * word_to_element(extra)
     assert leq_oracle(x, big) == leq(x, big)
     assert leq(x, w) == leq_oracle(x, w)
+
+
+ELEMENTS_12 = sorted(elements_of_length_at_most(12), key=lambda w: (length(w), format_word(w)))
+
+
+def test_string_chord_matches_the_walk():
+    """The t-interval chord equals the stepping walk, in the same order, for
+    every owner with l <= 12, every x <= w and every direction."""
+    for w in ELEMENTS_12:
+        h = hull_of(w)
+        for x in interval(w):
+            c = x.center()
+            for d in POSITIVE_ROOTS:
+                assert string_chord(h, c, d) == walk_chord(h, c, d), (format_word(w), c, d)
+
+
+def test_chord_range_is_the_hull_interval():
+    """chord_range is exactly the t with point + t * unit(d) in the hull,
+    for centers on and off the hull and strings that miss it."""
+    random.seed(11)
+    grid = [(p1, p2) for p1 in range(-16, 17) for p2 in range(-16, 17) if is_center((p1, p2))]
+    for w in random.sample(ELEMENTS_12, 12):
+        h = hull_of(w)
+        for p in grid:
+            for d in POSITIVE_ROOTS:
+                ux, uy = UNIT[d]
+                inside = [t for t in range(-50, 51) if h.contains((p[0] + t * ux, p[1] + t * uy))]
+                lo, hi = chord_range(h, p, d)
+                assert list(range(lo, hi + 1)) == inside, (format_word(w), p, d)
+
+
+def test_diagonals_match_the_walk():
+    for w in ELEMENTS_12:
+        if is_spiral(w):
+            continue
+        hx = hexagon(w)
+        for i in range(6):
+            v = hx.vertices[i].center()
+            d = diagonal_direction(hx, i)
+            walked = sorted([v] + walk_chord(hx, v, d), key=lambda p: pairing(p, d))
+            assert diagonal_centers(hx, i) == walked, (format_word(w), i)
+
+
+def test_hull_edges_match_the_walk():
+    """centers_between along every hull edge, both ways, equals the walk."""
+    for w in ELEMENTS_12:
+        vs = [v.center() for v in hull_of(w).vertices]
+        for a, b in zip(vs, vs[1:] + vs[:1]):
+            assert centers_between(a, b) == walk_between(a, b), (format_word(w), a, b)
+            assert centers_between(b, a) == walk_between(b, a), (format_word(w), a, b)
 
 
 def test_centers_between_requires_common_string():

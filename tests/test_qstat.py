@@ -7,6 +7,7 @@ import pytest
 
 from schubert_a2.alcove import (
     E,
+    POSITIVE_ROOTS,
     SIMPLES,
     SpiralInputError,
     ascents,
@@ -17,6 +18,7 @@ from schubert_a2.alcove import (
     is_spiral,
     is_twisted_spiral,
     length,
+    pairing,
     parse_word,
     spiral_element,
     translate_into_chamber,
@@ -53,6 +55,7 @@ from schubert_a2.qstat import (
     q_value,
     reflection_partners,
 )
+from walk import walk_chord
 
 
 def _by_length(w):
@@ -269,6 +272,19 @@ def _q_layer_lines(bound):
         if not is_spiral(w):
             h = hull_of(w)
             yield "diagonals %r" % [diagonal_centers(h, i) for i in range(6)]
+
+
+def test_reflection_partners_match_the_walk():
+    """Stepping t by 3 from the residue -pairing(x, d) gives the walked chord
+    filtered to pairings summing to 0 mod 6, in order, for every owner with
+    l <= 12 and every x <= w."""
+    for w in elements_of_length_at_most(12):
+        h = hull_of(w)
+        for x in interval(w):
+            cx = x.center()
+            walked = [(d, c) for d in POSITIVE_ROOTS for c in walk_chord(h, cx, d)
+                      if (pairing(c, d) + pairing(cx, d)) % 6 == 0]
+            assert reflection_partners(w, x) == walked, (format_word(w), format_word(x))
 
 
 def test_q_layer_outputs_are_pinned():

@@ -1,0 +1,51 @@
+"""The stepping walk along root strings, kept as the reference for the
+t-interval arithmetic of bruhat.chord_range, string_chord and
+centers_between: it finds each next center by trial and tests hull
+membership point by point."""
+
+from schubert_a2.alcove import is_center, pairing
+from schubert_a2.bruhat import string_direction
+
+# Change of the scaled coordinate pair for one center-to-center step along a
+# string in direction d: alternately one third and two thirds of a root.
+_STEP = {
+    (1, 0): ((2, -1), (4, -2)),
+    (0, 1): ((-1, 2), (-2, 4)),
+    (1, 1): ((1, 1), (2, 2)),
+}
+UNIT = {d: steps[0] for d, steps in _STEP.items()}  # one third of the root d
+
+
+def string_step(point, direction, sign=1):
+    """The next center on the string through `point` in direction sign*d."""
+    for dx, dy in _STEP[direction]:
+        cand = (point[0] + sign * dx, point[1] + sign * dy)
+        if is_center(cand):
+            return cand
+    raise AssertionError("no center step from %r" % (point,))
+
+
+def walk_chord(h, point, d):
+    """Centers of hull h on the d-string through point, point left out:
+    outward in the +d direction, then in the -d direction."""
+    out = []
+    for sign in (1, -1):
+        cur = string_step(point, d, sign)
+        while h.contains(cur):
+            out.append(cur)
+            cur = string_step(cur, d, sign)
+    return out
+
+
+def walk_between(p, q):
+    """All centers on the segment [p, q] of a common root string, inclusive."""
+    if p == q:
+        return [p]
+    d = string_direction(p, q)
+    sign = 1 if pairing(q, d) > pairing(p, d) else -1
+    out = [p]
+    cur = p
+    while cur != q:
+        cur = string_step(cur, d, sign)
+        out.append(cur)
+    return out
