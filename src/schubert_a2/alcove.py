@@ -12,6 +12,14 @@ the integer pair (3*(v,a1), 3*(v,a2)).  Alcove centers have both scaled
 coordinates nonzero mod 3 and congruent to each other mod 3 (1 for an Up
 alcove, 2 for a Down alcove), so every geometric predicate in this module
 is exact integer arithmetic.
+
+Descents and reduced words come from a wall table.  Right multiplication
+by s_i moves the center by a step that depends only on the finite part,
+and crosses a wall on a line (a, v) = k for one positive root a.  The
+18-entry _FIN_WALL holds that root and step per (finite part, i), and i is
+a right descent of w when the wall separates w's alcove from A0: one
+pairing of w's center with a.  element_to_word walks (center, finite part)
+down to Q0 this way, with no group products and no length lookups.
 """
 
 from __future__ import annotations
@@ -241,10 +249,44 @@ def length(w):
     )
 
 
+def _build_walls():
+    """_FIN_WALL[fin][i] = (root, down, step) for w with finite part fin.
+
+    w*s_i has center w.center() + step, the image of s_i.center() - Q0
+    under fin.  The step moves the scaled pairing with root by -2 (down)
+    or +2 and with the other positive roots by 1 or -1, so the wall it
+    crosses lies on a line (root, v) = k.
+    """
+    table = []
+    for pm in _FIN_PMATS:
+        row = []
+        for s in SIMPLES:
+            sx, sy = s.center()
+            step = _mat_vec(pm, (sx - Q0[0], sy - Q0[1]))
+            (root,) = [a for a in POSITIVE_ROOTS if abs(pairing(step, a)) == 2]
+            row.append((root, pairing(step, root) < 0, step))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+_FIN_WALL = _build_walls()
+
+
 def descents(w):
     """Indices i with w*s_i < w; the left descents of w are those of
-    w.inverse()."""
-    return {i for i in SIMPLE_INDICES if length(w * SIMPLES[i]) < length(w)}
+    w.inverse().
+
+    i is a descent when the wall s_i names separates w's alcove from A0.
+    With p the scaled pairing of w's center with the wall's root, the wall
+    is at 3k = p - 1 (down) or p + 1, and Q0's pairing is 1 or 2: it lies
+    on the far side exactly when p > 3 (down) or p < 0.
+    """
+    c = w.center()
+    return {
+        i
+        for i, (root, down, _) in enumerate(_FIN_WALL[w.fin])
+        if (pairing(c, root) > 3 if down else pairing(c, root) < 0)
+    }
 
 
 def ascents(w):
@@ -278,13 +320,24 @@ def word_to_element(word):
 
 
 def element_to_word(w):
-    """A reduced word for w, stripping the smallest right descent at each step."""
+    """A reduced word for w, stripping the smallest right descent at each step.
+
+    The walk carries only (center, finite part): each step reads the
+    smallest descent off _FIN_WALL, adds its step to the center and moves
+    the finite part by _FIN_MUL, until the center is Q0.
+    """
     letters = []
-    cur = w
-    while cur != E:
-        i = min(descents(cur))
+    (x, y), fin = w.center(), w.fin
+    while (x, y) != Q0:
+        for i, ((a, b), down, step) in enumerate(_FIN_WALL[fin]):
+            p = a * x + b * y  # pairing((x, y), root), inlined
+            if p > 3 if down else p < 0:
+                break
+        else:
+            raise AssertionError("no right descent at center %r" % ((x, y),))
         letters.append(i)
-        cur = cur * SIMPLES[i]
+        x, y = x + step[0], y + step[1]
+        fin = _FIN_MUL[fin][SIMPLES[i].fin]
     letters.reverse()
     return letters
 

@@ -8,6 +8,7 @@ violation (spiral-only operations, x not below w), 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -30,7 +31,9 @@ EXIT_PRECONDITION = 3
 EXIT_VERIFY = 4
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built once per process: run only parses with it."""
     parser = argparse.ArgumentParser(
         prog="schubert-a2",
         description="Exact Schubert-variety singularity analysis for affine type A2.",

@@ -31,6 +31,7 @@ from .alcove import (
     descents,
     display_word,
     element_from_center,
+    format_word,
     is_spiral,
     is_twisted_spiral,
     length,
@@ -266,15 +267,12 @@ class QTable(NamedTuple):
         return down_closure(self.entries, positive)
 
     def to_dict(self):
-        from .alcove import format_word
-
-        items = sorted(
-            self.entries.items(), key=lambda kv: (length(kv[0]), format_word(kv[0]))
-        )
+        words = {x: format_word(x) for x in self.entries}
         return {
             "owner": format_word(self.owner),
             "entries": [
-                {"x": format_word(x), "q": q, "tag": tag} for x, (q, tag) in items
+                {"x": words[x], "q": self.entries[x][0], "tag": self.entries[x][1]}
+                for x in sorted(words, key=lambda x: (length(x), words[x]))
             ],
         }
 
@@ -318,13 +316,18 @@ def nrs_set(w):
 
 
 def bruhat_maximal(elements):
-    """Maximal elements of a finite set under the Bruhat order."""
-    elements = list(elements)
-    return {
-        x
-        for x in elements
-        if not any(y != x and leq(x, y) for y in elements)
-    }
+    """Maximal elements of a finite set under the Bruhat order.
+
+    x is maximal when no other element's hull holds x's center (x <= y as
+    in leq), so each hull and each center is built once.
+    """
+    hulls = [(y, hull_of(y)) for y in elements]
+    out = set()
+    for x, _ in hulls:
+        c = x.center()
+        if not any(y != x and h.contains(c) for y, h in hulls):
+            out.add(x)
+    return out
 
 
 def is_rationally_smooth(w):

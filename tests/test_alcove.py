@@ -1,5 +1,6 @@
 """Group arithmetic, lengths, regions, wall labels, spiral factorizations."""
 
+import hashlib
 import random
 
 import pytest
@@ -42,6 +43,7 @@ from schubert_a2.alcove import (
     type_of,
     word_to_element,
 )
+import walk
 from walk import string_step
 
 words = st.lists(st.integers(0, 2), max_size=10)
@@ -85,6 +87,7 @@ def all_elements(n):
 
 
 ELEMENTS_12 = all_elements(12)
+ELEMENTS_16 = all_elements(16)
 
 
 def test_involutions_and_identity():
@@ -162,10 +165,13 @@ def test_orientation_parity():
 
 
 def test_length_and_inverse():
-    for w in ELEMENTS_12:
+    """Every word multiplies back to its element and is reduced (l <= 16);
+    neither check reads the wall table."""
+    for w in ELEMENTS_16:
         assert length(w) == length(w.inverse())
-        assert len(element_to_word(w)) == length(w)
-        assert word_to_element(element_to_word(w)) == w
+        word = element_to_word(w)
+        assert len(word) == length(w), format_word(w)
+        assert word_to_element(word) == w, format_word(w)
 
 
 def test_word_length_subadditive():
@@ -189,6 +195,24 @@ def test_descents_and_left_groups():
             assert len(lw) == 6
         else:
             assert len(lw) == 2
+
+
+def test_wall_table_matches_the_length_reference():
+    """descents of w and of w^-1, and the reduced word, read off the wall
+    table equal the reference built on length(w * s_i), for every l <= 16."""
+    for w in ELEMENTS_16:
+        assert descents(w) == walk.descents(w), format_word(w)
+        assert descents(w.inverse()) == walk.descents(w.inverse()), format_word(w)
+        assert element_to_word(w) == walk.element_to_word(w), format_word(w)
+
+
+def test_word_digest():
+    """format_word over every l <= 14 element, in sorted (lam, fin) order,
+    is pinned by its sha256."""
+    blob = "\n".join(format_word(w) for w in sorted(all_elements(14))).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "315ca13378b980e6fc5ba3b45faf0e96153d378e5d3cae5e7b3c422263736ef5"
+    )
 
 
 def test_types():

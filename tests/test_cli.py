@@ -1,6 +1,9 @@
 """Command-line surface: outputs, JSON schemas, exit codes, rendering."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -227,3 +230,26 @@ def test_render_bad_config(tmp_path, capture, monkeypatch, config):
     assert code == 2 and stdout == ""
     assert err.startswith("error: SCHUBERT_A2_CONFIG ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_runs_in_one_process_print_what_fresh_processes_print(tmp_path, capsys):
+    """The parser is built once per process; a malformed argv, a q table and
+    a render in turn print what each prints in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = str(tmp_path / "x.svg")
+    for argv, expected in (
+        (["q", "0121", "--bogus"], 2),
+        (["q", "0121"], 0),
+        (["render", "0121", "--out", out, "--payload", "q"], 0),
+    ):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse rejects the argv itself
+            code = exc.code
+        here = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "schubert_a2.cli", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert code == fresh.returncode == expected, argv
+        assert (here.out, here.err) == (fresh.stdout, fresh.stderr), argv

@@ -107,6 +107,18 @@ def test_maximal_singular_matches_kumar_scan():
         assert maximal_singular(w) == expected, format_word(w)
 
 
+def test_bruhat_maximal_matches_pairwise_leq():
+    """One hull per candidate gives the maximal elements of the pairwise leq
+    definition, on the singular set and the nrs set of every l <= 10 owner."""
+
+    def pairwise(elements):
+        return {x for x in elements if not any(y != x and leq(x, y) for y in elements)}
+
+    for w in elements_of_length_at_most(10):
+        for members in (interval(w) - smooth_points(w), nrs_set(w)):
+            assert bruhat_maximal(members) == pairwise(members), format_word(w)
+
+
 def test_singular_codim():
     for w in ELEMENTS:
         c = singular_codim(w)

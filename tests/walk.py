@@ -1,9 +1,15 @@
-"""The stepping walk along root strings, kept as the reference for the
-t-interval arithmetic of bruhat.chord_range, string_chord and
-centers_between: it finds each next center by trial and tests hull
-membership point by point."""
+"""Reference walks for the arithmetic in src.
 
-from schubert_a2.alcove import is_center, pairing
+The stepping walk along root strings is the reference for the t-interval
+arithmetic of bruhat.chord_range, string_chord and centers_between: it
+finds each next center by trial and tests hull membership point by point.
+
+descents and element_to_word built on length(w * s_i) are the reference
+for the wall table of alcove.descents and alcove.element_to_word: they
+multiply by each simple reflection and compare lengths.
+"""
+
+from schubert_a2.alcove import E, SIMPLES, SIMPLE_INDICES, is_center, length, pairing
 from schubert_a2.bruhat import string_direction
 
 # Change of the scaled coordinate pair for one center-to-center step along a
@@ -49,3 +55,20 @@ def walk_between(p, q):
         cur = string_step(cur, d, sign)
         out.append(cur)
     return out
+
+
+def descents(w):
+    """Indices i with w*s_i < w, by comparing lengths."""
+    return {i for i in SIMPLE_INDICES if length(w * SIMPLES[i]) < length(w)}
+
+
+def element_to_word(w):
+    """A reduced word for w, stripping the smallest right descent at each step."""
+    letters = []
+    cur = w
+    while cur != E:
+        i = min(descents(cur))
+        letters.append(i)
+        cur = cur * SIMPLES[i]
+    letters.reverse()
+    return letters
