@@ -153,14 +153,8 @@ class AffineElement(NamedTuple):
         shifted = _mat_vec(m, self.lam)
         return AffineElement((-shifted[0], -shifted[1]), fi)
 
-    def act(self, point):
-        """Image of a scaled point under w."""
-        p = _mat_vec(_FIN_PMATS[self.fin], point)
-        g = (2 * self.lam[0] - self.lam[1], -self.lam[0] + 2 * self.lam[1])
-        return (p[0] + 3 * g[0], p[1] + 3 * g[1])
-
     def center(self):
-        """act(Q0), with the finite part read from _FIN_Q0."""
+        """The image of Q0 under w, with the finite part read from _FIN_Q0."""
         bx, by = _FIN_Q0[self.fin]
         l0, l1 = self.lam
         return (bx + 6 * l0 - 3 * l1, by + 6 * l1 - 3 * l0)

@@ -135,13 +135,6 @@ def string_centers(point, d, ts):
     return [(x + t * dx, y + t * dy) for t in ts if t % 3 != skip]
 
 
-def string_chord(h, point, d):
-    """Centers of hull h on the d-string through point (a center of h),
-    point left out: outward in the +d direction, then in the -d direction."""
-    lo, hi = chord_range(h, point, d)
-    return string_centers(point, d, [*range(1, hi + 1), *range(-1, lo - 1, -1)])
-
-
 def string_direction(p, q):
     """The root direction of the string through two distinct centers, or None."""
     for d in POSITIVE_ROOTS:
@@ -302,13 +295,13 @@ def interval(w):
 
 def shell_index(h, x):
     """The k with x on the k-shell of the hull (0-shell is the boundary)."""
-    c = x.center()
-    if not h.contains(c):
+    # the three trans values read once, inlined as in Hull.contains
+    cx, cy = x.center()
+    (lo1, hi1), (lo2, hi2), (lot, hit) = h.bounds
+    s1, s2, st = cx + 2 * cy, 2 * cx + cy, cx - cy
+    m = min(s1 - lo1, hi1 - s1, s2 - lo2, hi2 - s2, st - lot, hit - st)
+    if m < 0:
         raise ValueError("element outside the hull of %s" % (h.owner,))
-    m = min(
-        min(trans(c, d) - lo, hi - trans(c, d))
-        for d, (lo, hi) in zip(POSITIVE_ROOTS, h.bounds)
-    )
     assert m % 3 == 0
     return m // 3
 
@@ -316,24 +309,15 @@ def shell_index(h, x):
 # ---------------------------------------------------------------------------
 # Diagonals and special segments (odd-chamber hexagons).
 
-def _edge_direction(hexagon_, i):
-    a = hexagon_.vertices[i].center()
-    b = hexagon_.vertices[(i + 1) % 6].center()
-    if a == b:
-        return None
-    return string_direction(a, b)
-
-
 def diagonal_direction(hexagon_, i):
-    """Direction of the diagonal through vertex i (not parallel to its edges)."""
-    used = {
-        _edge_direction(hexagon_, i),
-        _edge_direction(hexagon_, (i - 1) % 6),
-    }
-    used.discard(None)
-    free = [d for d in POSITIVE_ROOTS if d not in used]
-    assert len(free) == 1, "degenerate hexagon at vertex %d" % i
-    return free[0]
+    """Direction of the diagonal through vertex i (not parallel to its edges).
+
+    With (a, b, g) the roots of the hyperplanes, the edges at the owner run
+    along the wall roots a and b, so its diagonal runs along g; round the
+    hexagon the diagonals cycle through g, b, a.
+    """
+    a, b, g = (r.root for r in hexagon_.hyperplanes)
+    return (g, b, a)[i % 3]
 
 
 def diagonal_centers(hexagon_, i):

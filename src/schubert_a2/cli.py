@@ -197,7 +197,11 @@ def _cmd_verify(args):
     if args.workers < 1:
         print("error: --workers must be at least 1, got %d" % args.workers, file=sys.stderr)
         return EXIT_PARSE
-    results = run_suite(args.suite, max_length=args.max_length, workers=args.workers)
+    try:
+        results = run_suite(args.suite, max_length=args.max_length, workers=args.workers)
+    except ValueError as exc:  # a bound that leaves a criterion no owner
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_PARSE
     ok = all(r.passed for r in results)
     data = {
         "suite": args.suite,

@@ -6,9 +6,10 @@ l(w).  Two independent routes are implemented:
 * q_brute counts reflections directly: on each of the three root strings
   through x, the hull of w cuts out an integer t-interval (chord_range),
   and the reflections are the t of it in one residue class mod 3;
-* q_structured evaluates the closed-form description: four base-case
-  profiles, fixed values on the 0-, 1- and 2-shells by chamber parity and
-  type, and the translation recursion q(t(a)w, x) = q(w, x) + 2 elsewhere.
+* q_structured evaluates the closed form: one table of values on the 0-,
+  1- and 2-shells by chamber parity and type, plus the base-case interiors,
+  walked down the translation chain q(t(a)w, x) = q(w, x) + 2 from w to
+  its base case.  Each step narrows the hull by three shells.
 
 For a non-spiral w the point x is non-rationally-smooth (nrs) in the
 Schubert variety of w exactly when q(w, x) > 0; for spiral w the nrs set
@@ -72,7 +73,8 @@ def reflection_partners(w, x):
     A reflection r = s_{d,k} carries x to the center y on the d-string
     through x with scaled pairings summing to 6k.  With y = x + t * unit(d)
     that is 2 * pairing(x, d) + 2t = 6k, so the partners are the t of the
-    hull's chord with t = -pairing(x, d) mod 3, in string_chord's order.
+    hull's chord with t = -pairing(x, d) mod 3: outward on the +d side of x,
+    then outward on the -d side.
     """
     h = hull_of(w)
     cx = x.center()
@@ -95,36 +97,6 @@ def is_base_case(w):
     """Non-spiral w not obtained by translation into its chamber."""
     w2 = translate_out_of_chamber(w)
     return is_spiral(w2) or chamber_of(w2) != chamber_of(w)
-
-
-def _orbit_centers(w, x):
-    return {(x * u).center() for u in descent_group(w)}
-
-
-def _orbit_meets_special(w, hx, x):
-    orbit = _orbit_centers(w, x)
-    for seg in special_segments(hx):
-        if orbit.intersection(seg):
-            return True
-    return False
-
-
-def _outer_shell_value(w, hx, x, k):
-    """Value of q on the 0-, 1- or 2-shell, by chamber parity and type."""
-    t = type_of(w)
-    if hx.parity == "even":
-        if t == 1:
-            return 0
-        return 0 if k <= 1 else 1
-    if t == 1 or k <= 1:
-        return 1 if _orbit_meets_special(w, hx, x) else 0
-    # type 2, odd chamber, 2-shell: 2 on the 2-shell edges two strings in
-    # from a special edge, 1 elsewhere.  The special edge from w1 to
-    # w2 = r_gamma w1 runs along the root gamma of the third hyperplane.
-    d = hx.hyperplanes[2].root
-    lo, hi = hx.bounds[POSITIVE_ROOTS.index(d)]
-    tx = trans(x.center(), d)
-    return 2 if tx in (lo + 6, hi - 6) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -194,53 +166,80 @@ def _base4_interior_value(w, x):
     )
 
 
-def _base_case_value(w, hx, x, k):
+# ---------------------------------------------------------------------------
+# One shell table, walked down the translation chain.
+
+class _Level(NamedTuple):
+    owner: object
+    hull: object
+    special: frozenset  # centers of the R(owner)-orbit of the special segments
+
+
+def _chain(w):
+    """The translation chain of a non-spiral w: w, then each
+    translate_out_of_chamber down to the base case, one _Level per owner.
+
+    R(w) is a group, so the R(w)-orbit of x meets a special segment exactly
+    when x's center lies in the segments' R(w)-orbit.
+    """
+    chain = []
+    while True:
+        hx = hull_of(w)
+        rw = descent_group(w)
+        special = frozenset(
+            (element_from_center(c) * u).center()
+            for seg in special_segments(hx) for c in seg for u in rw
+        )
+        chain.append(_Level(w, hx, special))
+        if is_base_case(w):
+            return chain
+        w = translate_out_of_chamber(w)
+
+
+def _shell_value(level, x, k):
+    """q on the k-shell of the level's owner, by chamber parity and type;
+    only a base case is asked about its interior (k >= 3)."""
+    w, hx, special = level
     t = type_of(w)
-    n = length(w)
     if hx.parity == "even":
-        if t == 1:
-            # twisted spiral: rationally smooth everywhere
-            return 0
-        if n == 4:
-            return 0
-        return 0 if k <= 1 else 1
+        return 0 if t == 1 or k <= 1 else 1
+    if k <= 1 or (k == 2 and t == 1):
+        return 1 if x.center() in special else 0
     if t == 1:
-        if n == 4:
-            return 0
-        if k <= 2:
-            return 1 if _orbit_meets_special(w, hx, x) else 0
         return 1
-    if n == 5:
-        return 0 if k <= 1 else 2
-    if k <= 1:
-        return 1 if _orbit_meets_special(w, hx, x) else 0
+    if k == 2:
+        # 2 on the 2-shell edges two strings in from a special edge, 1
+        # elsewhere.  The special edge from w1 to w2 = r_gamma w1 runs along
+        # the root gamma of the third hyperplane.
+        d = hx.hyperplanes[2].root
+        lo, hi = hx.bounds[POSITIVE_ROOTS.index(d)]
+        return 2 if trans(x.center(), d) in (lo + 6, hi - 6) else 1
     return _base4_interior_value(w, x)
 
 
+def _q_walk(chain, x):
+    """(q, provenance tag) of x below the chain's first owner: x moves down
+    while on the 3-shell or deeper and above the base case, 2 per level."""
+    j = 0
+    k = shell_index(chain[0].hull, x)
+    while k >= 3 and j + 1 < len(chain):
+        j += 1
+        k = shell_index(chain[j].hull, x)
+    q = _shell_value(chain[j], x, k) + 2 * j
+    if j:
+        return q, "translation"
+    return q, "base-case" if len(chain) == 1 else "outer-shell"
+
+
 def q_structured(w, x):
-    """Closed-form q(w, x) for non-spiral w: base cases, outer shells, and
-    the +2 translation recursion."""
+    """Closed-form q(w, x) for non-spiral w: one shell table, walked down
+    the translation chain."""
     if is_spiral(w):
         raise SpiralInputError(
             "q_structured needs a non-spiral element: %s" % display_word(w)
         )
     require_below(x, w)
-    return _q_structured(w, x)
-
-
-def _q_tagged(w, hx, base, x):
-    """(q, provenance tag) for non-spiral w with hull hx; base says whether
-    w is a base case."""
-    k = shell_index(hx, x)
-    if base:
-        return _base_case_value(w, hx, x, k), "base-case"
-    if k <= 2:
-        return _outer_shell_value(w, hx, x, k), "outer-shell"
-    return _q_structured(translate_out_of_chamber(w), x) + 2, "translation"
-
-
-def _q_structured(w, x):
-    return _q_tagged(w, hull_of(w), is_base_case(w), x)[0]
+    return _q_walk(_chain(w), x)[0]
 
 
 def q_value(w, x):
@@ -280,9 +279,8 @@ class QTable(NamedTuple):
 def q_table(w):
     if is_spiral(w):
         return QTable(w, {x: (q_brute(w, x), "brute") for x in interval(w)})
-    hx = hull_of(w)
-    base = is_base_case(w)
-    return QTable(w, {x: _q_tagged(w, hx, base, x) for x in interval(w)})
+    chain = _chain(w)
+    return QTable(w, {x: _q_walk(chain, x) for x in interval(w)})
 
 
 # ---------------------------------------------------------------------------

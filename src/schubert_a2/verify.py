@@ -304,7 +304,9 @@ SUITES = {
 
 def run_criterion(key, max_length=12, workers=1):
     """Check one criterion on every owner up to max_length, or up to the
-    criterion's cap when that is lower; the result carries that bound."""
+    criterion's cap when that is lower; the result carries that bound.  A
+    bound that leaves the criterion no owner is a ValueError: no gate passes
+    on zero checks."""
     if max_length < 0:
         raise ValueError("max_length must be non-negative, got %d" % max_length)
     if workers < 1:
@@ -312,6 +314,8 @@ def run_criterion(key, max_length=12, workers=1):
     row = CRITERIA[key]
     bound = max_length if row.cap is None else min(max_length, row.cap)
     words = [word for word, spiral in _owners(bound) if row.spiral in (None, spiral)]
+    if not words:
+        raise ValueError("%s has no owners with l <= %d" % (row.name, bound))
     failures = [
         "%s %s" % (name, word or "e")
         for word, names in zip(words, _pool_map(row.check, words, workers))

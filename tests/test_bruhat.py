@@ -43,12 +43,12 @@ from schubert_a2.bruhat import (
     line_meet,
     oracle_interval,
     shell_index,
-    string_chord,
+    string_direction,
     trans,
     triangle_test,
 )
 from schubert_a2.loci import elements_of_length_at_most
-from walk import UNIT, string_step, walk_between, walk_chord
+from walk import UNIT, string_chord, string_step, walk_between, walk_chord
 
 ELEMENTS = sorted(elements_of_length_at_most(10), key=lambda w: (length(w), format_word(w)))
 
@@ -177,6 +177,53 @@ def test_shells():
     # outside the hull is an error
     with pytest.raises(ValueError):
         shell_index(hull_of(S1), parse_word("0121"))
+
+
+def test_shell_index_is_the_least_slab_distance():
+    """shell_index is the least of min(trans - lo, hi - trans) // 3 over the
+    three directions, for every x <= w with l <= 12; a center off the hull is
+    a ValueError."""
+    for w in ELEMENTS_12:
+        h = hull_of(w)
+        for x in interval(w):
+            c = x.center()
+            want = min(
+                min(trans(c, d) - lo, hi - trans(c, d)) // 3
+                for d, (lo, hi) in zip(POSITIVE_ROOTS, h.bounds)
+            )
+            assert shell_index(h, x) == want, (format_word(w), format_word(x))
+    random.seed(5)
+    for w in random.sample(ELEMENTS_12, 30):
+        h = hull_of(w)
+        for x in ELEMENTS_12:
+            if not leq(x, w):
+                with pytest.raises(ValueError):
+                    shell_index(h, x)
+
+
+def _edge_scan_direction(hx, i):
+    """The one direction along neither edge at vertex i, from the vertices'
+    centers; an edge between equal vertices has no direction."""
+    used = set()
+    for a, b in ((i, i + 1), (i - 1, i)):
+        p, q = hx.vertices[a % 6].center(), hx.vertices[b % 6].center()
+        if p != q:
+            used.add(string_direction(p, q))
+    free = [d for d in POSITIVE_ROOTS if d not in used]
+    assert len(free) == 1, "degenerate hexagon at vertex %d" % i
+    return free[0]
+
+
+def test_diagonal_direction_matches_the_edge_scan():
+    checked = 0
+    for w in elements_of_length_at_most(16):
+        if is_spiral(w):
+            continue
+        hx = hexagon(w)
+        for i in range(6):
+            assert diagonal_direction(hx, i) == _edge_scan_direction(hx, i), (format_word(w), i)
+            checked += 1
+    assert checked == 1890
 
 
 def test_translated_hexagon_shells():

@@ -123,6 +123,13 @@ def test_verify_rejects_workers_below_one(capture, workers):
     assert err == "error: --workers must be at least 1, got %s\n" % workers
 
 
+@pytest.mark.parametrize("bound", ["0", "2"])
+def test_verify_rejects_a_bound_without_owners(capture, bound):
+    code, out, err = capture("verify", "--suite", "q", "--max-length", bound)
+    assert code == 2 and out == ""
+    assert err == "error: q-equivalence has no owners with l <= %s\n" % bound
+
+
 def test_not_below_message_uses_words(capture):
     code, _, err = capture("q", "01", "012")
     assert code == 3

@@ -1,6 +1,7 @@
 """The statistic q, the nrs locus, maximal nrs points, lookup."""
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -294,6 +295,17 @@ def test_q_layer_outputs_are_pinned():
     text = "\n".join(_q_layer_lines(10))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "1e70aa6f1c4832de7e7d56b22308c2fdbb08d4046374bbe40ecbcaa4910790ad"
+    )
+
+
+def test_q_tables_are_pinned():
+    """Every entry of every q_table with l <= 14, spiral owners included:
+    the value and its provenance tag, in to_dict's JSON form."""
+    h = hashlib.sha256()
+    for w in sorted(elements_of_length_at_most(14), key=_by_length):
+        h.update(json.dumps(q_table(w).to_dict(), sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == (
+        "d012645d833937ad68a37fbafca7716ba2224347bbe9ce04c80780be77dfa529"
     )
 
 

@@ -24,6 +24,14 @@ def test_workers_below_one_rejected(workers):
         run_suite("q", max_length=2, workers=workers)
 
 
+@pytest.mark.parametrize("key", ["hexagon", "q", "translation", "heredity"])
+def test_bound_without_owners_rejected(key):
+    # non-spiral owners begin at l = 3, so l <= 2 leaves these rows empty
+    with pytest.raises(ValueError, match="no owners with l <= 2"):
+        run_criterion(key, 2)
+    assert run_criterion(key, 3).detail.endswith("checks (l <= 3)")
+
+
 def test_suite_names_cover_criteria():
     assert set(SUITES) == {"hexagon", "q", "lookup", "kumar", "loci", "all"}
     assert len(SUITES["all"]) == 11

@@ -1,16 +1,28 @@
 """Reference walks for the arithmetic in src.
 
 The stepping walk along root strings is the reference for the t-interval
-arithmetic of bruhat.chord_range, string_chord and centers_between: it
+arithmetic of bruhat.chord_range, string_centers and centers_between: it
 finds each next center by trial and tests hull membership point by point.
+string_chord lists a chord from that arithmetic in the walk's order.
+
+act is the matrix action of an element on a scaled point, the reference
+for AffineElement.center's table of the images of Q0.
 
 descents and element_to_word built on length(w * s_i) are the reference
 for the wall table of alcove.descents and alcove.element_to_word: they
 multiply by each simple reflection and compare lengths.
 """
 
-from schubert_a2.alcove import E, SIMPLES, SIMPLE_INDICES, is_center, length, pairing
-from schubert_a2.bruhat import string_direction
+from schubert_a2.alcove import (
+    E,
+    SIMPLES,
+    SIMPLE_INDICES,
+    _FIN_PMATS,
+    is_center,
+    length,
+    pairing,
+)
+from schubert_a2.bruhat import chord_range, string_centers, string_direction
 
 # Change of the scaled coordinate pair for one center-to-center step along a
 # string in direction d: alternately one third and two thirds of a root.
@@ -43,6 +55,14 @@ def walk_chord(h, point, d):
     return out
 
 
+def string_chord(h, point, d):
+    """Centers of hull h on the d-string through point (a center of h),
+    point left out, from chord_range: outward in the +d direction, then in
+    the -d direction, the order of walk_chord."""
+    lo, hi = chord_range(h, point, d)
+    return string_centers(point, d, [*range(1, hi + 1), *range(-1, lo - 1, -1)])
+
+
 def walk_between(p, q):
     """All centers on the segment [p, q] of a common root string, inclusive."""
     if p == q:
@@ -72,3 +92,14 @@ def element_to_word(w):
         cur = cur * SIMPLES[i]
     letters.reverse()
     return letters
+
+
+def act(w, point):
+    """Image of a scaled point under w = t(lam) * f: the finite part's matrix
+    on point, then the translation by 3 * G * lam."""
+    (a, b), (c, d) = _FIN_PMATS[w.fin]
+    l0, l1 = w.lam
+    return (
+        a * point[0] + b * point[1] + 3 * (2 * l0 - l1),
+        c * point[0] + d * point[1] + 3 * (2 * l1 - l0),
+    )
