@@ -159,10 +159,6 @@ class AffineElement(NamedTuple):
         l0, l1 = self.lam
         return (bx + 6 * l0 - 3 * l1, by + 6 * l1 - 3 * l0)
 
-    def act_root(self, root):
-        """Image of a finite root under the finite part of w."""
-        return _mat_vec(_FIN_MATS[self.fin], root)
-
     def __str__(self):
         return "(%d, %d; %s)" % (self.lam[0], self.lam[1], _FIN_NAMES[self.fin])
 

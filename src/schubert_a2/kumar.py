@@ -16,6 +16,7 @@ import functools
 
 from .alcove import (
     E,
+    POSITIVE_ROOTS,
     SIMPLES,
     Reflection,
     element_to_word,
@@ -23,8 +24,8 @@ from .alcove import (
     pairing,
     word_to_element,
 )
-from .bruhat import leq
-from .qstat import reflection_partners, require_below
+from .bruhat import chord_range, hull_of, leq
+from .qstat import require_below
 from .rational import RationalNF, p_const
 
 BETA = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -94,29 +95,34 @@ def root_to_reflection(r):
     return Reflection((-fin[0], -fin[1]), n)
 
 
-def reflection_to_root(refl):
-    """Inverse of root_to_reflection."""
-    (c1, c2), k = refl.root, refl.level
+def _level_root(d, k):
+    """The positive real root of the reflection s_{d,k}, d a positive finite
+    root, the inverse of root_to_reflection: d - k * delta when k <= 0, else
+    -d + k * delta, with delta = b0 + b1 + b2."""
     if k <= 0:
-        base = _FINITE_TRIPLES[(c1, c2)]
-        n = -k
+        (a, b, c), n = _FINITE_TRIPLES[d], -k
     else:
-        base = _FINITE_TRIPLES[(-c1, -c2)]
-        n = k
-    r = tuple(base[i] + n for i in range(3))
-    assert is_positive_real_root(r)
-    return r
+        (a, b, c), n = _FINITE_TRIPLES[(-d[0], -d[1])], k
+    return (a + n, b + n, c + n)
 
 
 def psi_set(w, x):
-    """Positive real roots whose reflections keep x inside the hull of w."""
+    """Positive real roots whose reflections keep x inside the hull of w.
+
+    s_{d,k} carries x to x + t * unit(d) with 3k = pairing(x, d) + t, so
+    the reflections are the t of the hull's d-chord through x with
+    t = -pairing(x, d) mod 3 (the partners of qstat.reflection_partners),
+    each at level k = (pairing(x, d) + t) / 3.
+    """
     require_below(x, w)
-    out = set()
+    h = hull_of(w)
     cx = x.center()
-    for d, y in reflection_partners(w, x):
-        level, rem = divmod(pairing(cx, d) + pairing(y, d), 6)
-        assert rem == 0
-        out.add(reflection_to_root(Reflection(d, level)))
+    out = set()
+    for d in POSITIVE_ROOTS:
+        lo, hi = chord_range(h, cx, d)
+        p = pairing(cx, d)
+        for t in range(lo + (-p - lo) % 3, hi + 1, 3):
+            out.add(_level_root(d, (p + t) // 3))
     return out
 
 
@@ -125,25 +131,31 @@ def _check_reduced(word):
         raise ValueError("word %r is not reduced" % (word,))
 
 
+def _extend(states, i):
+    """One letter i of the forward pass: each partial product z branches to
+    z and z * s_i, both with its value over the linear form z(b_i), with
+    opposite signs."""
+    new = {}
+    for z, val in states.items():
+        form = _action_matrix(z)[i]
+        branch = val.divided_by_form(form)
+        for target, term in ((z, branch), (z * SIMPLES[i], -branch)):
+            prev = new.get(target)
+            new[target] = term if prev is None else prev + term
+    return new
+
+
 def multiplicity_table(word):
     """Equivariant multiplicities of every x below w, for a reduced word.
 
     A forward pass over the word keeps, for each partial subexpression
-    product z, the accumulated sum of reciprocal form products.  Both
-    branches at step j contribute the same linear form z(b_i), with
-    opposite signs.
+    product z, the accumulated sum of reciprocal form products; the table
+    is that sum signed by the parity of the word's length.
     """
     _check_reduced(word)
     states = {E: RationalNF.integer(1)}
     for i in word:
-        new = {}
-        for z, val in states.items():
-            form = _action_matrix(z)[i]
-            branch = val.divided_by_form(form)
-            for target, term in ((z, branch), (z * SIMPLES[i], -branch)):
-                prev = new.get(target)
-                new[target] = term if prev is None else prev + term
-        states = new
+        states = _extend(states, i)
     if len(word) % 2:
         states = {x: -v for x, v in states.items()}
     return states
@@ -151,7 +163,15 @@ def multiplicity_table(word):
 
 @functools.cache
 def multiplicity_table_of(w):
-    return multiplicity_table(element_to_word(w))
+    """multiplicity_table(element_to_word(w)), one letter past the memoized
+    table of w * s_i for the word's last letter i: element_to_word(w) is
+    element_to_word(w * s_i) followed by i.  The step is linear, so undoing
+    the prefix's parity sign and applying w's is one negation."""
+    if w == E:
+        return {E: RationalNF.integer(1)}
+    i = element_to_word(w)[-1]
+    states = _extend(multiplicity_table_of(w * SIMPLES[i]), i)
+    return {x: -v for x, v in states.items()}
 
 
 def equivariant_multiplicity(w, x, word=None):

@@ -169,42 +169,43 @@ def _base4_interior_value(w, x):
 # ---------------------------------------------------------------------------
 # One shell table, walked down the translation chain.
 
-class _Level(NamedTuple):
-    owner: object
-    hull: object
-    special: frozenset  # centers of the R(owner)-orbit of the special segments
-
-
-def _chain(w):
-    """The translation chain of a non-spiral w: w, then each
-    translate_out_of_chamber down to the base case, one _Level per owner.
+class _Level:
+    """One owner of the translation chain of a non-spiral w: w, then each
+    translate_out_of_chamber down to the base case.  The level below and
+    the R(owner)-orbit of the special segments are built when a walk first
+    reads them, and kept for the table's later points.
 
     R(w) is a group, so the R(w)-orbit of x meets a special segment exactly
     when x's center lies in the segments' R(w)-orbit.
     """
-    chain = []
-    while True:
-        hx = hull_of(w)
-        rw = descent_group(w)
-        special = frozenset(
+
+    def __init__(self, w):
+        self.owner = w
+        self.hull = hull_of(w)
+        self.is_base = is_base_case(w)
+
+    @functools.cached_property
+    def below(self):
+        return _Level(translate_out_of_chamber(self.owner))
+
+    @functools.cached_property
+    def special(self):
+        rw = descent_group(self.owner)
+        return frozenset(
             (element_from_center(c) * u).center()
-            for seg in special_segments(hx) for c in seg for u in rw
+            for seg in special_segments(self.hull) for c in seg for u in rw
         )
-        chain.append(_Level(w, hx, special))
-        if is_base_case(w):
-            return chain
-        w = translate_out_of_chamber(w)
 
 
 def _shell_value(level, x, k):
     """q on the k-shell of the level's owner, by chamber parity and type;
     only a base case is asked about its interior (k >= 3)."""
-    w, hx, special = level
+    w, hx = level.owner, level.hull
     t = type_of(w)
     if hx.parity == "even":
         return 0 if t == 1 or k <= 1 else 1
     if k <= 1 or (k == 2 and t == 1):
-        return 1 if x.center() in special else 0
+        return 1 if x.center() in level.special else 0
     if t == 1:
         return 1
     if k == 2:
@@ -217,18 +218,18 @@ def _shell_value(level, x, k):
     return _base4_interior_value(w, x)
 
 
-def _q_walk(chain, x):
-    """(q, provenance tag) of x below the chain's first owner: x moves down
+def _q_walk(top, x):
+    """(q, provenance tag) of x below the chain's top owner: x moves down
     while on the 3-shell or deeper and above the base case, 2 per level."""
-    j = 0
-    k = shell_index(chain[0].hull, x)
-    while k >= 3 and j + 1 < len(chain):
-        j += 1
-        k = shell_index(chain[j].hull, x)
-    q = _shell_value(chain[j], x, k) + 2 * j
+    level, j = top, 0
+    k = shell_index(level.hull, x)
+    while k >= 3 and not level.is_base:
+        level, j = level.below, j + 1
+        k = shell_index(level.hull, x)
+    q = _shell_value(level, x, k) + 2 * j
     if j:
         return q, "translation"
-    return q, "base-case" if len(chain) == 1 else "outer-shell"
+    return q, "base-case" if top.is_base else "outer-shell"
 
 
 def q_structured(w, x):
@@ -239,7 +240,7 @@ def q_structured(w, x):
             "q_structured needs a non-spiral element: %s" % display_word(w)
         )
     require_below(x, w)
-    return _q_walk(_chain(w), x)[0]
+    return _q_walk(_Level(w), x)[0]
 
 
 def q_value(w, x):
@@ -279,8 +280,8 @@ class QTable(NamedTuple):
 def q_table(w):
     if is_spiral(w):
         return QTable(w, {x: (q_brute(w, x), "brute") for x in interval(w)})
-    chain = _chain(w)
-    return QTable(w, {x: _q_walk(chain, x) for x in interval(w)})
+    top = _Level(w)
+    return QTable(w, {x: _q_walk(top, x) for x in interval(w)})
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ cancelled numerator limits what can cancel next:
 
 from __future__ import annotations
 
+import functools
+
 
 ZERO_EXP = (0, 0, 0)
 
@@ -273,12 +275,16 @@ class RationalNF:
     def __str__(self):
         if not self.den:
             return p_str(self.num)
-        dens = "".join(
-            "(%s)" % p_str(form_poly(f)) for f in sorted(self.den)
-        )
+        dens = "".join(map(_form_str, sorted(self.den)))
         return "(%s) / %s" % (p_str(self.num), dens)
 
     __repr__ = __str__
+
+
+@functools.cache
+def _form_str(form):
+    """One denominator factor as printed; there are few distinct forms."""
+    return "(%s)" % p_str(form_poly(form))
 
 
 def _positive_form(form):

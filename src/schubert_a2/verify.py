@@ -283,8 +283,8 @@ CRITERIA = {
     "translation": Criterion("translation-move", False, None, _translation),
     "heredity": Criterion("q-heredity", False, None, _heredity),
     "lookup": Criterion("lookup", None, None, _lookup),
-    "kumar": Criterion("kumar-smooth-locus", None, 9, _kumar),
-    "setup": Criterion("setup-simple-moves", None, 8, _setup),
+    "kumar": Criterion("kumar-smooth-locus", None, 12, _kumar),
+    "setup": Criterion("setup-simple-moves", None, 10, _setup),
     "enumerations": Criterion(
         "global-enumerations", None, None, _rational_smoothness, _census
     ),

@@ -49,15 +49,15 @@ def test_05_heredity_and_lookup():
 
 def test_06_kumar_cross_check():
     """Closed-form smooth loci and maximal singular points equal the
-    multiplicity test for every owner with l <= 9, and multiplicities agree
+    multiplicity test for every owner with l <= 12, and multiplicities agree
     across both canonical words."""
-    _run("kumar", max_length=9)
+    _run("kumar", max_length=12)
 
 
 def test_07_setup_and_simple_moves():
     """Setup Move identities (both sides) and Simple Move invariances hold
-    on every eligible triple with l(w) <= 8."""
-    _run("setup", max_length=8)
+    on every eligible triple with l(w) <= 10."""
+    _run("setup", max_length=10)
 
 
 def test_08_global_enumerations():

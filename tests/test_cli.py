@@ -100,13 +100,13 @@ def test_verify_small(capture):
 
 
 def test_verify_reports_capped_bounds(capture):
-    code, out, _ = capture("verify", "--suite", "kumar", "--max-length", "10", "--json")
+    code, out, _ = capture("verify", "--suite", "kumar", "--max-length", "11", "--json")
     assert code == 0
-    assert [r["bound"] for r in json.loads(out)["results"]] == [9, 8]
-    code, out, _ = capture("verify", "--suite", "kumar", "--max-length", "10")
+    assert [r["bound"] for r in json.loads(out)["results"]] == [11, 10]
+    code, out, _ = capture("verify", "--suite", "kumar", "--max-length", "11")
     assert code == 0
-    assert out.splitlines()[0].startswith("PASS kumar-smooth-locus - ")
-    assert out.splitlines()[0].endswith(" checks (l <= 9)")
+    assert out.splitlines()[1].startswith("PASS setup-simple-moves - ")
+    assert out.splitlines()[1].endswith(" checks (l <= 10)")
 
 
 def test_verify_rejects_negative_bound(capture):

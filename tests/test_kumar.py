@@ -1,5 +1,6 @@
 """Real roots, multiplicities, the smoothness test, Setup and Simple Moves."""
 
+import hashlib
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from schubert_a2.kumar import (
     BETA,
     NotRealRootError,
     SetupHypothesisError,
+    _level_root,
     element_root_action,
     equivariant_multiplicity,
     is_positive_real_root,
@@ -30,8 +32,8 @@ from schubert_a2.kumar import (
     kumar_smooth,
     kumar_smooth_set,
     multiplicity_table,
+    multiplicity_table_of,
     psi_set,
-    reflection_to_root,
     root_to_reflection,
     setup_move_check,
     simple_root_action,
@@ -40,6 +42,7 @@ from schubert_a2.kumar import (
 from schubert_a2.loci import elements_of_length_at_most
 from schubert_a2.qstat import NotComparableError, q_brute
 from schubert_a2.rational import RationalNF, p_const
+import walk
 
 ELEMENTS = sorted(elements_of_length_at_most(7), key=lambda w: (length(w), format_word(w)))
 
@@ -100,7 +103,7 @@ def test_bijection_word_conjugation_oracle():
         image = element_root_action(w, BETA[i])
         assert image == r or image == tuple(-c for c in r)
         assert root_to_reflection(r).element() == w * SIMPLES[i] * w.inverse()
-        assert reflection_to_root(root_to_reflection(r)) == r
+        assert _level_root(*root_to_reflection(r)) == r
         checked += 1
     expected = sum(1 for r in _all_positive_real_roots(bound))
     assert checked == expected and checked >= 40
@@ -134,6 +137,49 @@ def test_psi_counts_to_length_10():
             psis = psi_set(w, x)
             assert all(is_positive_real_root(r) for r in psis)
             assert len(psis) == q_brute(w, x) + lw
+
+
+def test_psi_by_chord_arithmetic_matches_the_partner_walk():
+    """psi_set equals the reference built from reflection partners and
+    root_to_reflection, on every x <= w with l(w) <= 12."""
+    pairs = 0
+    for w in elements_of_length_at_most(12):
+        for x in interval(w):
+            assert psi_set(w, x) == walk.psi_set(w, x), (format_word(w), format_word(x))
+            pairs += 1
+    assert pairs == 16021
+
+
+def test_memoized_tables_extend_their_prefix():
+    """multiplicity_table_of, one letter past the memoized table of its
+    prefix, equals a fresh pass over element_to_word(w), in entries, key
+    order and printed values, for every w with l <= 10 visited in shuffled
+    order from an empty memo."""
+    owners = sorted(elements_of_length_at_most(10), key=lambda w: (length(w), format_word(w)))
+    random.Random(10).shuffle(owners)
+    multiplicity_table_of.cache_clear()
+    for w in owners:
+        memo = multiplicity_table_of(w)
+        fresh = multiplicity_table(element_to_word(w))
+        assert list(memo) == list(fresh), format_word(w)
+        assert memo == fresh, format_word(w)
+        assert [str(v) for v in memo.values()] == [str(v) for v in fresh.values()]
+    assert len(owners) == 166
+
+
+def test_multiplicity_tables_are_pinned():
+    """sha256 of every printed table value with l(w) <= 10, owners and
+    entries by length then word; recorded before the tables were memoized
+    by prefix and before denominators were printed from a cache."""
+    h = hashlib.sha256()
+    entries = 0
+    for w in sorted(elements_of_length_at_most(10), key=lambda w: (length(w), format_word(w))):
+        tab = multiplicity_table_of(w)
+        for x in sorted(tab, key=lambda x: (length(x), format_word(x))):
+            h.update(("%s\t%s\t%s\n" % (format_word(w), format_word(x), tab[x])).encode())
+            entries += 1
+    assert entries == 7831
+    assert h.hexdigest() == "935dae8635ad64ace1fc3a024eb2527c7f91d9db208cc4e958b17fb0f081050f"
 
 
 def test_trivial_multiplicities():

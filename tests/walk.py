@@ -5,6 +5,10 @@ arithmetic of bruhat.chord_range, string_centers and centers_between: it
 finds each next center by trial and tests hull membership point by point.
 string_chord lists a chord from that arithmetic in the walk's order.
 
+psi_set is the reference for kumar.psi_set's chord arithmetic: it builds
+every reflection partner's center, the Reflection carrying x there, and the
+root whose reflection that is, found through kumar.root_to_reflection.
+
 act is the matrix action of an element on a scaled point, the reference
 for AffineElement.center's table of the images of Q0.
 
@@ -18,11 +22,14 @@ from schubert_a2.alcove import (
     SIMPLES,
     SIMPLE_INDICES,
     _FIN_PMATS,
+    Reflection,
     is_center,
     length,
     pairing,
 )
 from schubert_a2.bruhat import chord_range, string_centers, string_direction
+from schubert_a2.kumar import _FINITE_TRIPLES, is_positive_real_root, root_to_reflection
+from schubert_a2.qstat import reflection_partners, require_below
 
 # Change of the scaled coordinate pair for one center-to-center step along a
 # string in direction d: alternately one third and two thirds of a root.
@@ -103,3 +110,30 @@ def act(w, point):
         a * point[0] + b * point[1] + 3 * (2 * l0 - l1),
         c * point[0] + d * point[1] + 3 * (2 * l1 - l0),
     )
+
+
+def root_of(refl):
+    """The positive real root whose reflection is refl: of the finite roots
+    +-d shifted by +-level, the one root_to_reflection maps to refl."""
+    (c1, c2), k = refl
+    shifted = {
+        tuple(c + n for c in _FINITE_TRIPLES[d])
+        for d in ((c1, c2), (-c1, -c2))
+        for n in (k, -k)
+    }
+    (r,) = [r for r in shifted if is_positive_real_root(r) and root_to_reflection(r) == refl]
+    return r
+
+
+def psi_set(w, x):
+    """Psi(w, x) from the reflection partners of x: the level of the
+    reflection carrying x to a partner y on its d-string is the sum of the
+    two scaled pairings over 6."""
+    require_below(x, w)
+    out = set()
+    cx = x.center()
+    for d, y in reflection_partners(w, x):
+        level, rem = divmod(pairing(cx, d) + pairing(y, d), 6)
+        assert rem == 0
+        out.add(root_of(Reflection(d, level)))
+    return out
