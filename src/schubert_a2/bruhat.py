@@ -16,8 +16,10 @@ membership in the closed triangle that three of them cut out.
 Along a root string in direction d the centers are p + t * unit(d) for
 integers t outside one residue class mod 3, and a step in t moves the other
 two trans values by 3 each.  So a hull meets the string in an integer
-t-interval, which chord_range reads off the slab bounds; chords, diagonals
-and edge segments are listed from such intervals without stepping.
+t-interval, and chords reads all three of a point's t-intervals off the
+slab bounds at once; reflection partners, Psi sets and diagonals are
+counted or listed from them without stepping.  interval reads the same
+slabs row by row: each row of centers is one arithmetic progression.
 
 An independent subexpression oracle (forward dynamic program over a reduced
 word) is provided for cross-checking.
@@ -41,7 +43,6 @@ from .alcove import (
     element_from_center,
     element_to_word,
     half_strip_pattern,
-    is_center,
     is_spiral,
     length,
     pairing,
@@ -94,34 +95,30 @@ def triangle_test(lines):
 # d-pairing, 0 to trans(., d) and +-3 to the other two trans values.
 _UNIT = {(1, 0): (2, -1), (0, 1): (-1, 2), (1, 1): (1, 1)}
 
-# Per d: the index of d in POSITIVE_ROOTS, then (index, trans(_UNIT[d], e) // 3)
-# for the two other directions e, whose slabs the d-strings cross.
-_CROSSINGS = {
-    d: (POSITIVE_ROOTS.index(d),
-        tuple((j, trans(u, e) // 3) for j, e in enumerate(POSITIVE_ROOTS) if e != d))
-    for d, u in _UNIT.items()
-}
 
+def chords(h, point):
+    """The integer intervals (lo, hi) of the t with point + t * unit(d) in
+    hull h, one per d in POSITIVE_ROOTS order; (0, -1) where the d-string
+    through point misses h.
 
-def chord_range(h, point, d):
-    """The integer interval (lo, hi) of the t with point + t * unit(d) in
-    hull h; lo > hi when the d-string through point misses h.  Each of the
-    two slabs the string crosses, lo <= s + 3 * sign * t <= hi, cuts out a
-    t-interval."""
+    The point's three trans values are read once.  Along a d-string
+    trans(., d) is constant and the other two move by 3t, except that
+    trans(., (1, 1)) moves by -3t along (0, 1).  Each of the two slabs
+    crossed, lo <= s +- 3t <= hi, cuts out a t-interval, and the chord is
+    their meet.
+    """
     x, y = point
-    s = (x + 2 * y, 2 * x + y, x - y)  # trans(point, e), POSITIVE_ROOTS order
-    i, crossings = _CROSSINGS[d]
-    blo, bhi = h.bounds[i]
-    if not blo <= s[i] <= bhi:
-        return (0, -1)
-    lo, hi = [], []
-    for j, sign in crossings:
-        blo, bhi = h.bounds[j]
-        if sign < 0:
-            blo, bhi = -bhi, -blo
-        lo.append(-((sign * s[j] - blo) // 3))
-        hi.append((bhi - sign * s[j]) // 3)
-    return (max(lo), min(hi))
+    s1, s2, st = x + 2 * y, 2 * x + y, x - y
+    (lo1, hi1), (lo2, hi2), (lot, hit) = h.bounds
+    # the t-interval of each slab for a +3 step: s + 3t in [lo, hi]
+    a1, b1 = -((s1 - lo1) // 3), (hi1 - s1) // 3
+    a2, b2 = -((s2 - lo2) // 3), (hi2 - s2) // 3
+    at, bt = -((st - lot) // 3), (hit - st) // 3
+    return (
+        (max(a2, at), min(b2, bt)) if lo1 <= s1 <= hi1 else (0, -1),
+        (max(a1, -bt), min(b1, -at)) if lo2 <= s2 <= hi2 else (0, -1),
+        (max(a1, a2), min(b1, b2)) if lot <= st <= hit else (0, -1),
+    )
 
 
 def string_centers(point, d, ts):
@@ -274,23 +271,23 @@ def oracle_interval(w):
 
 
 def interval(w):
-    """All x <= w, enumerated by scanning the hull's bounding box."""
-    h = hull_of(w)
-    (lo1, hi1), (lo2, hi2), (lot, hit) = h.bounds
-    # p1 = (trans_a2 + trans_at)/3, p2 = (trans_a1 - trans_at)/3
-    p1_lo = -((-(lo2 + lot)) // 3)
-    p1_hi = (hi2 + hit) // 3
-    out = []
-    for p1 in range(p1_lo, p1_hi + 1):
+    """All x <= w, read off the hull row by row.
+
+    A row is one p1 not divisible by 3; its centers are the p2 = p1 mod 3
+    in the meet of the three slabs, which bound p2 through p1 + 2 * p2,
+    2 * p1 + p2 and p1 - p2.  Rows and points come in increasing order.
+    """
+    (lo1, hi1), (lo2, hi2), (lot, hit) = hull_of(w).bounds
+    # p1 = (trans_a2 + trans_at)/3
+    out = set()
+    for p1 in range(-((-(lo2 + lot)) // 3), (hi2 + hit) // 3 + 1):
         if p1 % 3 == 0:
             continue
-        p2_lo = -((-(lo1 - p1)) // 2)
-        p2_hi = (hi1 - p1) // 2
-        for p2 in range(p2_lo, p2_hi + 1):
-            c = (p1, p2)
-            if is_center(c) and h.contains(c):
-                out.append(element_from_center(c))
-    return set(out)
+        lo = max(-((p1 - lo1) // 2), lo2 - 2 * p1, p1 - hit)
+        hi = min((hi1 - p1) // 2, hi2 - 2 * p1, p1 - lot)
+        for p2 in range(lo + (p1 - lo) % 3, hi + 1, 3):
+            out.add(element_from_center((p1, p2)))
+    return out
 
 
 def shell_index(h, x):
@@ -324,7 +321,7 @@ def diagonal_centers(hexagon_, i):
     """Centers in the hull on the root string through vertex i, transversally."""
     d = diagonal_direction(hexagon_, i)
     v = hexagon_.vertices[i].center()
-    lo, hi = chord_range(hexagon_, v, d)
+    lo, hi = chords(hexagon_, v)[POSITIVE_ROOTS.index(d)]
     return string_centers(v, d, range(lo, hi + 1))
 
 

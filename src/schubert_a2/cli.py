@@ -208,12 +208,13 @@ def _cmd_verify(args):
         "max_length": args.max_length,
         "results": [
             {"criterion": r.criterion, "passed": r.passed, "detail": r.detail,
-             "bound": r.bound}
+             "bound": r.bound, "seconds": round(r.seconds, 3)}
             for r in results
         ],
         "passed": ok,
     }
-    lines = ["%s %s - %s" % ("PASS" if r.passed else "FAIL", r.criterion, r.detail)
+    lines = ["%s %s - %.2f s - %s" % ("PASS" if r.passed else "FAIL", r.criterion,
+                                      r.seconds, r.detail)
              for r in results]
     lines.append("result: %s" % ("all passed" if ok else "FAILURES"))
     _emit(args, data, lines)

@@ -24,7 +24,7 @@ from .alcove import (
     pairing,
     word_to_element,
 )
-from .bruhat import chord_range, hull_of, leq
+from .bruhat import chords, hull_of, leq
 from .qstat import require_below
 from .rational import RationalNF, p_const
 
@@ -115,11 +115,9 @@ def psi_set(w, x):
     each at level k = (pairing(x, d) + t) / 3.
     """
     require_below(x, w)
-    h = hull_of(w)
     cx = x.center()
     out = set()
-    for d in POSITIVE_ROOTS:
-        lo, hi = chord_range(h, cx, d)
+    for d, (lo, hi) in zip(POSITIVE_ROOTS, chords(hull_of(w), cx)):
         p = pairing(cx, d)
         for t in range(lo + (-p - lo) % 3, hi + 1, 3):
             out.add(_level_root(d, (p + t) // 3))

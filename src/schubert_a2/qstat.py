@@ -4,8 +4,9 @@ For x <= w, q(w, x) is the number of reflections r with r*x <= w, less
 l(w).  Two independent routes are implemented:
 
 * q_brute counts reflections directly: on each of the three root strings
-  through x, the hull of w cuts out an integer t-interval (chord_range),
-  and the reflections are the t of it in one residue class mod 3;
+  through x, the hull of w cuts out an integer t-interval (bruhat.chords),
+  and the reflections are the t of it in one residue class mod 3, counted
+  in closed form without listing them;
 * q_structured evaluates the closed form: one table of values on the 0-,
   1- and 2-shells by chamber parity and type, plus the base-case interiors,
   walked down the translation chain q(t(a)w, x) = q(w, x) + 2 from w to
@@ -14,6 +15,9 @@ l(w).  Two independent routes are implemented:
 For a non-spiral w the point x is non-rationally-smooth (nrs) in the
 Schubert variety of w exactly when q(w, x) > 0; for spiral w the nrs set
 is the down-closure of the q > 0 points.  Both are read from one q_table.
+lookup_holds checks that one reflection step up from x finds that set: a
+partner lies above x exactly when its reflecting line does not separate x
+from the fundamental alcove, so it is decided by arithmetic on the chords.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .alcove import (
     type_of,
 )
 from .bruhat import (
-    chord_range,
+    chords,
     diagonal_direction,
     hull_of,
     interval,
@@ -76,21 +80,33 @@ def reflection_partners(w, x):
     hull's chord with t = -pairing(x, d) mod 3: outward on the +d side of x,
     then outward on the -d side.
     """
-    h = hull_of(w)
     cx = x.center()
     out = []
-    for d in POSITIVE_ROOTS:
-        lo, hi = chord_range(h, cx, d)
+    for d, (lo, hi) in zip(POSITIVE_ROOTS, chords(hull_of(w), cx)):
         t = -pairing(cx, d) % 3
         ts = [*range(t, hi + 1, 3), *range(t - 3, lo - 1, -3)]
         out += [(d, c) for c in string_centers(cx, d, ts)]
     return out
 
 
+def _reflection_count(cx, spans):
+    """The number of reflection partners of the center cx, from its chords:
+    per direction the t in [lo, hi] with t = -p mod 3, p = pairing(cx, d),
+    that is the multiples of 3 in [lo + p, hi + p]."""
+    n = 0
+    for d, (lo, hi) in zip(POSITIVE_ROOTS, spans):
+        if lo <= hi:
+            p = pairing(cx, d)
+            n += (hi + p) // 3 - (lo + p - 1) // 3
+    return n
+
+
 def q_brute(w, x):
-    """The number of reflections r with r*x <= w, less l(w)."""
+    """The number of reflections r with r*x <= w, less l(w), counted off
+    the hull's chords through x."""
     require_below(x, w)
-    return len(reflection_partners(w, x)) - length(w)
+    cx = x.center()
+    return _reflection_count(cx, chords(hull_of(w), cx)) - length(w)
 
 
 def is_base_case(w):
@@ -279,7 +295,13 @@ class QTable(NamedTuple):
 
 def q_table(w):
     if is_spiral(w):
-        return QTable(w, {x: (q_brute(w, x), "brute") for x in interval(w)})
+        # q_brute over the interval, whose points need no require_below
+        h, n = hull_of(w), length(w)
+        entries = {}
+        for x in interval(w):
+            cx = x.center()
+            entries[x] = (_reflection_count(cx, chords(h, cx)) - n, "brute")
+        return QTable(w, entries)
     top = _Level(w)
     return QTable(w, {x: _q_walk(top, x) for x in interval(w)})
 
@@ -417,20 +439,46 @@ def nrs_codimension(w):
     return length(w) - max(length(z) for z in points)
 
 
+def _up_centers(cx, spans):
+    """Centers of the reflection partners of the center cx that lie above it.
+
+    The reflection carrying cx to the partner at t on its d-string fixes
+    the line at pairing p + t, p = pairing(cx, d), and r*x > x exactly when
+    that line does not separate x from the fundamental alcove, whose
+    pairings lie strictly between 0 and 3: t > 0 with p + t > 0, or t < 0
+    with p + t <= 0.  For p > 0 that is every t > 0 and the t <= -p; for
+    p < 0 the t > -p and every t < 0.
+    """
+    out = []
+    for d, (lo, hi) in zip(POSITIVE_ROOTS, spans):
+        p = pairing(cx, d)
+        if p > 0:
+            ts = [*range(-p % 3, hi + 1, 3), *range(-p, lo - 1, -3)]
+        else:
+            ts = [*range(3 - p, hi + 1, 3), *range(-p % 3 - 3, lo - 1, -3)]
+        out += string_centers(cx, d, ts)
+    return out
+
+
 def lookup_holds(w):
-    """One-step reflection lookup detects nrs at every x <= w."""
-    members = interval(w)
-    n = length(w)
-    positive = set()
-    up = {}  # x -> the r*x <= w with r*x > x (one reflection step up)
-    for x in members:
-        partners = [element_from_center(c) for _, c in reflection_partners(w, x)]
-        if len(partners) > n:  # q(w, x) > 0
-            positive.add(x)
-        lx = length(x)
-        up[x] = [y for y in partners if length(y) > lx]
-    truly_nrs = down_closure(members, positive)
+    """One-step reflection lookup detects nrs at every x <= w.
+
+    Each member's chords are read once.  They give q(w, x) > 0 by the
+    reflection count, and the partners above x by the side of the
+    reflecting line (_up_centers); the q > 0 points are held by center,
+    so no partner becomes an element.
+    """
+    h, n = hull_of(w), length(w)
+    members = {}  # x -> (center, chords)
+    positive = {}  # center -> x, for the x with q(w, x) > 0
+    for x in interval(w):
+        cx = x.center()
+        members[x] = cx, chords(h, cx)
+        if _reflection_count(*members[x]) > n:
+            positive[cx] = x
+    truly_nrs = down_closure(members, positive.values())
     return all(
-        (x in truly_nrs) == (x in positive or not positive.isdisjoint(up[x]))
-        for x in members
+        (x in truly_nrs)
+        == (cx in positive or not positive.keys().isdisjoint(_up_centers(cx, spans)))
+        for x, (cx, spans) in members.items()
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import multiprocessing
+import time
 from typing import NamedTuple
 
 from .alcove import (
@@ -71,6 +72,7 @@ class CheckResult(NamedTuple):
     passed: bool
     detail: str
     bound: int  # the length bound actually checked
+    seconds: float  # wall time of the check
 
 
 class Criterion(NamedTuple):
@@ -304,13 +306,15 @@ SUITES = {
 
 def run_criterion(key, max_length=12, workers=1):
     """Check one criterion on every owner up to max_length, or up to the
-    criterion's cap when that is lower; the result carries that bound.  A
+    criterion's cap when that is lower; the result carries that bound and
+    the wall time of the whole check, census facts included.  A
     bound that leaves the criterion no owner is a ValueError: no gate passes
     on zero checks."""
     if max_length < 0:
         raise ValueError("max_length must be non-negative, got %d" % max_length)
     if workers < 1:
         raise ValueError("workers must be at least 1, got %d" % workers)
+    start = time.perf_counter()
     row = CRITERIA[key]
     bound = max_length if row.cap is None else min(max_length, row.cap)
     words = [word for word, spiral in _owners(bound) if row.spiral in (None, spiral)]
@@ -323,11 +327,10 @@ def run_criterion(key, max_length=12, workers=1):
     ]
     if row.facts is not None:
         failures += row.facts(bound)
-    checked = "%d checks (l <= %d)" % (len(words), bound)
+    detail = "%d checks (l <= %d)" % (len(words), bound)
     if failures:
-        detail = "%d failed in %s: %s" % (len(failures), checked, ", ".join(failures[:5]))
-        return CheckResult(row.name, False, detail, bound)
-    return CheckResult(row.name, True, checked, bound)
+        detail = "%d failed in %s: %s" % (len(failures), detail, ", ".join(failures[:5]))
+    return CheckResult(row.name, not failures, detail, bound, time.perf_counter() - start)
 
 
 def run_suite(suite="all", max_length=12, workers=1):

@@ -29,7 +29,7 @@ from schubert_a2.alcove import (
 )
 from schubert_a2.bruhat import (
     centers_between,
-    chord_range,
+    chords,
     degenerate_hull,
     diagonal_centers,
     diagonal_direction,
@@ -48,6 +48,7 @@ from schubert_a2.bruhat import (
     triangle_test,
 )
 from schubert_a2.loci import elements_of_length_at_most
+import walk
 from walk import UNIT, string_chord, string_step, walk_between, walk_chord
 
 ELEMENTS = sorted(elements_of_length_at_most(10), key=lambda w: (length(w), format_word(w)))
@@ -342,19 +343,28 @@ def test_string_chord_matches_the_walk():
                 assert string_chord(h, c, d) == walk_chord(h, c, d), (format_word(w), c, d)
 
 
-def test_chord_range_is_the_hull_interval():
-    """chord_range is exactly the t with point + t * unit(d) in the hull,
-    for centers on and off the hull and strings that miss it."""
+def test_chords_are_the_hull_intervals():
+    """chords gives, per direction in POSITIVE_ROOTS order, exactly the t
+    with point + t * unit(d) in the hull, for centers on and off the hull
+    and strings that miss it."""
     random.seed(11)
     grid = [(p1, p2) for p1 in range(-16, 17) for p2 in range(-16, 17) if is_center((p1, p2))]
     for w in random.sample(ELEMENTS_12, 12):
         h = hull_of(w)
         for p in grid:
-            for d in POSITIVE_ROOTS:
+            spans = chords(h, p)
+            assert len(spans) == 3
+            for d, (lo, hi) in zip(POSITIVE_ROOTS, spans):
                 ux, uy = UNIT[d]
                 inside = [t for t in range(-50, 51) if h.contains((p[0] + t * ux, p[1] + t * uy))]
-                lo, hi = chord_range(h, p, d)
                 assert list(range(lo, hi + 1)) == inside, (format_word(w), p, d)
+
+
+def test_interval_rows_match_the_box_scan():
+    """The row-wise interval equals the bounding-box scan, insertion order
+    included, for every owner with l <= 16."""
+    for w in elements_of_length_at_most(16):
+        assert list(interval(w)) == list(walk.interval(w)), format_word(w)
 
 
 def test_diagonals_match_the_walk():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -97,6 +98,21 @@ def test_verify_small(capture):
     assert code == 0
     data = json.loads(out)
     assert data["passed"] and len(data["results"]) == 2
+
+
+def test_verify_reports_seconds_per_criterion(capture):
+    code, out, _ = capture("verify", "--max-length", "5", "--suite", "lookup", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert sorted(data) == ["max_length", "passed", "results", "suite"]
+    for r in data["results"]:
+        assert sorted(r) == ["bound", "criterion", "detail", "passed", "seconds"]
+        assert r["bound"] == 5
+        assert isinstance(r["seconds"], float) and r["seconds"] >= 0
+    code, out, _ = capture("verify", "--max-length", "5", "--suite", "lookup")
+    assert code == 0
+    for line in out.splitlines()[:2]:
+        assert re.fullmatch(r"PASS [a-z-]+ - \d+\.\d\d s - \d+ checks \(l <= 5\)", line), line
 
 
 def test_verify_reports_capped_bounds(capture):

@@ -14,6 +14,7 @@ from schubert_a2.alcove import (
     ascents,
     chamber_parity,
     descent_group,
+    element_from_center,
     descents,
     format_word,
     is_spiral,
@@ -27,7 +28,9 @@ from schubert_a2.alcove import (
     type_of,
     word_to_element,
 )
+from schubert_a2 import qstat
 from schubert_a2.bruhat import (
+    chords,
     diagonal_centers,
     diagonal_direction,
     hexagon,
@@ -56,6 +59,7 @@ from schubert_a2.qstat import (
     q_value,
     reflection_partners,
 )
+import walk
 from walk import walk_chord
 
 
@@ -323,14 +327,57 @@ def test_lookup_holds():
         assert lookup_holds(w), format_word(w)
 
 
-def test_spiral_lookup_nontrivial_case_exists():
-    found = False
+def _spiral_lookup_witnesses():
+    """Spiral owners with an nrs point of q = 0, which only lookup finds."""
     for n in range(4, 9):
         w = spiral_element((0, 2), n)
+        if any(q_brute(w, x) == 0 and nrs(w, x) for x in interval(w)):
+            yield w
+
+
+def test_spiral_lookup_nontrivial_case_exists():
+    assert next(_spiral_lookup_witnesses(), None) is not None
+
+
+def test_lookup_fails_without_the_step_up(monkeypatch):
+    """With no partner above any x, lookup misses the spiral nrs points of
+    q = 0, so the lookup gate cannot pass vacuously."""
+    w = next(_spiral_lookup_witnesses())
+    assert lookup_holds(w)
+    monkeypatch.setattr(qstat, "_up_centers", lambda cx, spans: [])
+    assert not lookup_holds(w)
+
+
+def test_lookup_matches_the_length_reference():
+    for w in elements_of_length_at_most(10):
+        assert lookup_holds(w) == walk.lookup_holds(w), format_word(w)
+
+
+def test_reflections_counted_equal_the_partners_listed():
+    """q_brute's count off the chords equals the listed partners, less
+    l(w), for every x <= w with l(w) <= 14."""
+    for w in elements_of_length_at_most(14):
+        lw = length(w)
         for x in interval(w):
-            if q_brute(w, x) == 0 and nrs(w, x):
-                found = True
-    assert found
+            assert q_brute(w, x) + lw == len(reflection_partners(w, x)), (
+                format_word(w), format_word(x))
+
+
+def test_partners_above_by_the_side_of_the_line():
+    """The hyperplane-side rule picks, in partner order, exactly the
+    partners r*x with l(r*x) > l(x), for every x <= w with l(w) <= 12."""
+    checked = 0
+    for w in elements_of_length_at_most(12):
+        h = hull_of(w)
+        for x in interval(w):
+            lx = length(x)
+            partners = [c for _, c in reflection_partners(w, x)]
+            above = [c for c in partners if length(element_from_center(c)) > lx]
+            cx = x.center()
+            assert qstat._up_centers(cx, chords(h, cx)) == above, (
+                format_word(w), format_word(x))
+            checked += len(partners)
+    assert checked == 170256
 
 
 def shell_profile_consistent(w):

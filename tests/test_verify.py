@@ -41,7 +41,8 @@ def test_suite_names_cover_criteria():
 def test_workers_match_serial(suite):
     serial = run_suite(suite, max_length=6, workers=1)
     parallel = run_suite(suite, max_length=6, workers=2)
-    assert serial == parallel
+    # the same verdicts; only the wall times differ
+    assert [r._replace(seconds=0) for r in serial] == [r._replace(seconds=0) for r in parallel]
     assert all(r.passed for r in serial)
 
 

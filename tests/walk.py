@@ -1,9 +1,16 @@
 """Reference walks for the arithmetic in src.
 
 The stepping walk along root strings is the reference for the t-interval
-arithmetic of bruhat.chord_range, string_centers and centers_between: it
-finds each next center by trial and tests hull membership point by point.
+arithmetic of bruhat.chords, string_centers and centers_between: it finds
+each next center by trial and tests hull membership point by point.
 string_chord lists a chord from that arithmetic in the walk's order.
+
+interval is the reference for bruhat.interval's rows: it scans the hull's
+bounding box and tests every candidate with is_center and Hull.contains.
+
+lookup_holds is the reference for qstat.lookup_holds's arithmetic: it
+turns every reflection partner into an element and compares lengths to
+find the partners above x.
 
 psi_set is the reference for kumar.psi_set's chord arithmetic: it builds
 every reflection partner's center, the Reflection carrying x there, and the
@@ -19,17 +26,19 @@ multiply by each simple reflection and compare lengths.
 
 from schubert_a2.alcove import (
     E,
+    POSITIVE_ROOTS,
     SIMPLES,
     SIMPLE_INDICES,
     _FIN_PMATS,
     Reflection,
+    element_from_center,
     is_center,
     length,
     pairing,
 )
-from schubert_a2.bruhat import chord_range, string_centers, string_direction
+from schubert_a2.bruhat import chords, hull_of, string_centers, string_direction
 from schubert_a2.kumar import _FINITE_TRIPLES, is_positive_real_root, root_to_reflection
-from schubert_a2.qstat import reflection_partners, require_below
+from schubert_a2.qstat import down_closure, reflection_partners, require_below
 
 # Change of the scaled coordinate pair for one center-to-center step along a
 # string in direction d: alternately one third and two thirds of a root.
@@ -64,10 +73,50 @@ def walk_chord(h, point, d):
 
 def string_chord(h, point, d):
     """Centers of hull h on the d-string through point (a center of h),
-    point left out, from chord_range: outward in the +d direction, then in
+    point left out, from chords: outward in the +d direction, then in
     the -d direction, the order of walk_chord."""
-    lo, hi = chord_range(h, point, d)
+    lo, hi = chords(h, point)[POSITIVE_ROOTS.index(d)]
     return string_centers(point, d, [*range(1, hi + 1), *range(-1, lo - 1, -1)])
+
+
+def interval(w):
+    """All x <= w, by scanning the hull's bounding box."""
+    h = hull_of(w)
+    (lo1, hi1), (lo2, hi2), (lot, hit) = h.bounds
+    # p1 = (trans_a2 + trans_at)/3, p2 = (trans_a1 - trans_at)/3
+    p1_lo = -((-(lo2 + lot)) // 3)
+    p1_hi = (hi2 + hit) // 3
+    out = []
+    for p1 in range(p1_lo, p1_hi + 1):
+        if p1 % 3 == 0:
+            continue
+        p2_lo = -((-(lo1 - p1)) // 2)
+        p2_hi = (hi1 - p1) // 2
+        for p2 in range(p2_lo, p2_hi + 1):
+            c = (p1, p2)
+            if is_center(c) and h.contains(c):
+                out.append(element_from_center(c))
+    return set(out)
+
+
+def lookup_holds(w):
+    """One-step reflection lookup detects nrs at every x <= w, with the
+    partners as elements compared by length."""
+    members = interval(w)
+    n = length(w)
+    positive = set()
+    up = {}  # x -> the r*x <= w with r*x > x (one reflection step up)
+    for x in members:
+        partners = [element_from_center(c) for _, c in reflection_partners(w, x)]
+        if len(partners) > n:  # q(w, x) > 0
+            positive.add(x)
+        lx = length(x)
+        up[x] = [y for y in partners if length(y) > lx]
+    truly_nrs = down_closure(members, positive)
+    return all(
+        (x in truly_nrs) == (x in positive or not positive.isdisjoint(up[x]))
+        for x in members
+    )
 
 
 def walk_between(p, q):
