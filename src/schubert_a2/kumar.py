@@ -8,6 +8,12 @@ w.  The equivariant multiplicity of x in the Schubert variety of w is the
 signed sum, over all subexpressions of a reduced word for w multiplying to
 x, of reciprocals of products of linear forms; x is a smooth point exactly
 when this equals the reciprocal of the Psi product with the matching sign.
+
+The table is built by a forward pass over the word that keeps every partial
+product's sum already signed by the parity of the letters read.  A letter i
+pairs each z with z * s_i: since (z * s_i)(b_i) = -z(b_i), both receive the
+same sum with opposite signs, so a pair costs one addition (when both are
+present) and one division by a linear form.
 """
 
 from __future__ import annotations
@@ -111,8 +117,8 @@ def psi_set(w, x):
 
     s_{d,k} carries x to x + t * unit(d) with 3k = pairing(x, d) + t, so
     the reflections are the t of the hull's d-chord through x with
-    t = -pairing(x, d) mod 3 (the partners of qstat.reflection_partners),
-    each at level k = (pairing(x, d) + t) / 3.
+    t = -pairing(x, d) mod 3, the reflections qstat.q_brute counts, each at
+    level k = (pairing(x, d) + t) / 3.
     """
     require_below(x, w)
     cx = x.center()
@@ -129,17 +135,26 @@ def _check_reduced(word):
         raise ValueError("word %r is not reduced" % (word,))
 
 
-def _extend(states, i):
-    """One letter i of the forward pass: each partial product z branches to
-    z and z * s_i, both with its value over the linear form z(b_i), with
-    opposite signs."""
+def _extend(table, i):
+    """One letter i of the forward pass on a parity-signed table T.
+
+    A partial product z sends T[z] / z(b_i) to z and its negative to z * s_i,
+    and (z * s_i)(b_i) = -z(b_i); so the pair {z, z * s_i} receives one sum,
+    T'[z] = (T[z] + T[z * s_i]) / (z * s_i)(b_i) and T'[z * s_i] = -T'[z],
+    the sign flip of the longer word included.  Pairs enter the new table in
+    the order their first member appears in T, z before z * s_i."""
+    s = SIMPLES[i]
     new = {}
-    for z, val in states.items():
-        form = _action_matrix(z)[i]
-        branch = val.divided_by_form(form)
-        for target, term in ((z, branch), (z * SIMPLES[i], -branch)):
-            prev = new.get(target)
-            new[target] = term if prev is None else prev + term
+    for z, total in table.items():
+        if z in new:
+            continue
+        zs = z * s
+        other = table.get(zs)
+        if other is not None:
+            total = total + other
+        a, b, c = _action_matrix(z)[i]
+        new[z] = value = total.divided_by_form((-a, -b, -c))
+        new[zs] = -value
     return new
 
 
@@ -147,29 +162,25 @@ def multiplicity_table(word):
     """Equivariant multiplicities of every x below w, for a reduced word.
 
     A forward pass over the word keeps, for each partial subexpression
-    product z, the accumulated sum of reciprocal form products; the table
-    is that sum signed by the parity of the word's length.
+    product z, the sum of its reciprocal form products signed by the parity
+    of the letters read so far; after the whole word that is the table.
     """
     _check_reduced(word)
-    states = {E: RationalNF.integer(1)}
+    table = {E: RationalNF.integer(1)}
     for i in word:
-        states = _extend(states, i)
-    if len(word) % 2:
-        states = {x: -v for x, v in states.items()}
-    return states
+        table = _extend(table, i)
+    return table
 
 
 @functools.cache
 def multiplicity_table_of(w):
     """multiplicity_table(element_to_word(w)), one letter past the memoized
     table of w * s_i for the word's last letter i: element_to_word(w) is
-    element_to_word(w * s_i) followed by i.  The step is linear, so undoing
-    the prefix's parity sign and applying w's is one negation."""
+    element_to_word(w * s_i) followed by i."""
     if w == E:
         return {E: RationalNF.integer(1)}
     i = element_to_word(w)[-1]
-    states = _extend(multiplicity_table_of(w * SIMPLES[i]), i)
-    return {x: -v for x, v in states.items()}
+    return _extend(multiplicity_table_of(w * SIMPLES[i]), i)
 
 
 def equivariant_multiplicity(w, x, word=None):

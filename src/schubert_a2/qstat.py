@@ -71,24 +71,6 @@ def require_below(x, w):
         )
 
 
-def reflection_partners(w, x):
-    """Centers y = r(x) inside the hull of w, per positive root direction.
-
-    A reflection r = s_{d,k} carries x to the center y on the d-string
-    through x with scaled pairings summing to 6k.  With y = x + t * unit(d)
-    that is 2 * pairing(x, d) + 2t = 6k, so the partners are the t of the
-    hull's chord with t = -pairing(x, d) mod 3: outward on the +d side of x,
-    then outward on the -d side.
-    """
-    cx = x.center()
-    out = []
-    for d, (lo, hi) in zip(POSITIVE_ROOTS, chords(hull_of(w), cx)):
-        t = -pairing(cx, d) % 3
-        ts = [*range(t, hi + 1, 3), *range(t - 3, lo - 1, -3)]
-        out += [(d, c) for c in string_centers(cx, d, ts)]
-    return out
-
-
 def _reflection_count(cx, spans):
     """The number of reflection partners of the center cx, from its chords:
     per direction the t in [lo, hi] with t = -p mod 3, p = pairing(cx, d),

@@ -207,9 +207,6 @@ class RationalNF:
         form, sign = _positive_form(form)
         return RationalNF(p_const(sign), (form,), normalize=False)
 
-    def is_zero(self):
-        return p_is_zero(self.num)
-
     def __neg__(self):
         return RationalNF(p_neg(self.num), self.den, normalize=False)
 

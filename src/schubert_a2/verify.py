@@ -286,7 +286,7 @@ CRITERIA = {
     "heredity": Criterion("q-heredity", False, None, _heredity),
     "lookup": Criterion("lookup", None, None, _lookup),
     "kumar": Criterion("kumar-smooth-locus", None, 12, _kumar),
-    "setup": Criterion("setup-simple-moves", None, 10, _setup),
+    "setup": Criterion("setup-simple-moves", None, 12, _setup),
     "enumerations": Criterion(
         "global-enumerations", None, None, _rational_smoothness, _census
     ),

@@ -56,8 +56,8 @@ def test_06_kumar_cross_check():
 
 def test_07_setup_and_simple_moves():
     """Setup Move identities (both sides) and Simple Move invariances hold
-    on every eligible triple with l(w) <= 10."""
-    _run("setup", max_length=10)
+    on every eligible triple with l(w) <= 12."""
+    _run("setup", max_length=12)
 
 
 def test_08_global_enumerations():

@@ -116,13 +116,13 @@ def test_verify_reports_seconds_per_criterion(capture):
 
 
 def test_verify_reports_capped_bounds(capture):
-    code, out, _ = capture("verify", "--suite", "kumar", "--max-length", "11", "--json")
+    code, out, _ = capture("verify", "--suite", "kumar", "--max-length", "13", "--json")
     assert code == 0
-    assert [r["bound"] for r in json.loads(out)["results"]] == [11, 10]
-    code, out, _ = capture("verify", "--suite", "kumar", "--max-length", "11")
+    assert [r["bound"] for r in json.loads(out)["results"]] == [12, 12]
+    code, out, _ = capture("verify", "--suite", "kumar", "--max-length", "13")
     assert code == 0
     assert out.splitlines()[1].startswith("PASS setup-simple-moves - ")
-    assert out.splitlines()[1].endswith(" checks (l <= 10)")
+    assert out.splitlines()[1].endswith(" checks (l <= 12)")
 
 
 def test_verify_rejects_negative_bound(capture):

@@ -57,10 +57,9 @@ from schubert_a2.qstat import (
     q_structured,
     q_table,
     q_value,
-    reflection_partners,
 )
 import walk
-from walk import walk_chord
+from walk import reflection_partners, walk_chord
 
 
 def _by_length(w):

@@ -47,9 +47,9 @@ def test_workers_match_serial(suite):
 
 
 def test_capped_criterion_reports_its_bound():
-    result = run_criterion("setup", max_length=11)
-    assert result.passed and result.bound == 10
-    assert result.detail.endswith("(l <= 10)")
+    result = run_criterion("setup", max_length=13)
+    assert result.passed and result.bound == 12
+    assert result.detail.endswith("(l <= 12)")
 
 
 def test_failure_names_identity_and_owner(monkeypatch):

@@ -12,9 +12,17 @@ lookup_holds is the reference for qstat.lookup_holds's arithmetic: it
 turns every reflection partner into an element and compares lengths to
 find the partners above x.
 
+reflection_partners lists the reflection partners of x from the chords, in
+the order of the stepping walk; q_brute counts them without listing.
+
 psi_set is the reference for kumar.psi_set's chord arithmetic: it builds
 every reflection partner's center, the Reflection carrying x there, and the
 root whose reflection that is, found through kumar.root_to_reflection.
+
+multiplicity_table is the reference for kumar's pair step: each partial
+product z branches to z and z * s_i with its own division by z(b_i), the
+two branches are added where they meet, and the parity sign of the word is
+applied to the whole table at the end.
 
 act is the matrix action of an element on a scaled point, the reference
 for AffineElement.center's table of the images of Q0.
@@ -37,8 +45,14 @@ from schubert_a2.alcove import (
     pairing,
 )
 from schubert_a2.bruhat import chords, hull_of, string_centers, string_direction
-from schubert_a2.kumar import _FINITE_TRIPLES, is_positive_real_root, root_to_reflection
-from schubert_a2.qstat import down_closure, reflection_partners, require_below
+from schubert_a2.kumar import (
+    _FINITE_TRIPLES,
+    _action_matrix,
+    is_positive_real_root,
+    root_to_reflection,
+)
+from schubert_a2.qstat import down_closure, require_below
+from schubert_a2.rational import RationalNF
 
 # Change of the scaled coordinate pair for one center-to-center step along a
 # string in direction d: alternately one third and two thirds of a root.
@@ -77,6 +91,24 @@ def string_chord(h, point, d):
     the -d direction, the order of walk_chord."""
     lo, hi = chords(h, point)[POSITIVE_ROOTS.index(d)]
     return string_centers(point, d, [*range(1, hi + 1), *range(-1, lo - 1, -1)])
+
+
+def reflection_partners(w, x):
+    """Centers y = r(x) inside the hull of w, per positive root direction.
+
+    A reflection r = s_{d,k} carries x to the center y on the d-string
+    through x with scaled pairings summing to 6k.  With y = x + t * unit(d)
+    that is 2 * pairing(x, d) + 2t = 6k, so the partners are the t of the
+    hull's chord with t = -pairing(x, d) mod 3: outward on the +d side of x,
+    then outward on the -d side.
+    """
+    cx = x.center()
+    out = []
+    for d, (lo, hi) in zip(POSITIVE_ROOTS, chords(hull_of(w), cx)):
+        t = -pairing(cx, d) % 3
+        ts = [*range(t, hi + 1, 3), *range(t - 3, lo - 1, -3)]
+        out += [(d, c) for c in string_centers(cx, d, ts)]
+    return out
 
 
 def interval(w):
@@ -186,3 +218,22 @@ def psi_set(w, x):
         assert rem == 0
         out.add(root_of(Reflection(d, level)))
     return out
+
+
+def multiplicity_table(word):
+    """The multiplicity table of a reduced word, two branches per partial
+    product: z keeps its value over z(b_i) and z * s_i gets the negative,
+    each added into the new table on its own; the word's parity sign is
+    applied to the whole table at the end."""
+    states = {E: RationalNF.integer(1)}
+    for i in word:
+        new = {}
+        for z, val in states.items():
+            branch = val.divided_by_form(_action_matrix(z)[i])
+            for target, term in ((z, branch), (z * SIMPLES[i], -branch)):
+                prev = new.get(target)
+                new[target] = term if prev is None else prev + term
+        states = new
+    if len(word) % 2:
+        states = {x: -v for x, v in states.items()}
+    return states
