@@ -158,6 +158,28 @@ def _extend(table, i):
     return new
 
 
+def multiplicity_tables(words):
+    """Yield (word, multiplicity table) for each reduced word, in sorted order.
+
+    The words are walked as a prefix trie, depth first: only the tables of
+    the current word's prefixes are held, and a word extends the longest
+    prefix it shares with the word before it, one letter per step.  A
+    yielded table is shared with the walk and must not be mutated.
+    """
+    stack = [{E: RationalNF.integer(1)}]  # stack[k]: table of prev[:k]
+    prev = ()
+    for word in sorted(map(tuple, words)):
+        _check_reduced(word)
+        m = 0
+        while m < min(len(prev), len(word)) and prev[m] == word[m]:
+            m += 1
+        del stack[m + 1:]
+        for i in word[m:]:
+            stack.append(_extend(stack[-1], i))
+        prev = word
+        yield word, stack[-1]
+
+
 def multiplicity_table(word):
     """Equivariant multiplicities of every x below w, for a reduced word.
 
@@ -165,10 +187,7 @@ def multiplicity_table(word):
     product z, the sum of its reciprocal form products signed by the parity
     of the letters read so far; after the whole word that is the table.
     """
-    _check_reduced(word)
-    table = {E: RationalNF.integer(1)}
-    for i in word:
-        table = _extend(table, i)
+    ((_, table),) = multiplicity_tables([word])
     return table
 
 

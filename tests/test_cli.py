@@ -115,16 +115,6 @@ def test_verify_reports_seconds_per_criterion(capture):
         assert re.fullmatch(r"PASS [a-z-]+ - \d+\.\d\d s - \d+ checks \(l <= 5\)", line), line
 
 
-def test_verify_reports_capped_bounds(capture):
-    code, out, _ = capture("verify", "--suite", "kumar", "--max-length", "13", "--json")
-    assert code == 0
-    assert [r["bound"] for r in json.loads(out)["results"]] == [12, 12]
-    code, out, _ = capture("verify", "--suite", "kumar", "--max-length", "13")
-    assert code == 0
-    assert out.splitlines()[1].startswith("PASS setup-simple-moves - ")
-    assert out.splitlines()[1].endswith(" checks (l <= 12)")
-
-
 def test_verify_rejects_negative_bound(capture):
     code, out, err = capture("verify", "--max-length", "-1", "--suite", "q")
     assert code == 2 and out == ""

@@ -33,6 +33,7 @@ from schubert_a2.kumar import (
     kumar_smooth_set,
     multiplicity_table,
     multiplicity_table_of,
+    multiplicity_tables,
     psi_set,
     root_to_reflection,
     setup_move_check,
@@ -175,8 +176,10 @@ def test_pair_step_matches_the_two_branch_reference():
     """The memoized table and fresh passes over element_to_word(w) and over
     both spiral-factorisation words equal the two-branch reference on the
     same word, in keys, key order and printed values, for every owner with
-    l <= 10."""
+    l <= 10; so does every table of one trie walk over all the
+    factorisation words, which share prefixes."""
     words = 0
+    factorization_refs = {}
     for w in sorted(elements_of_length_at_most(10), key=lambda w: (length(w), format_word(w))):
         word = element_to_word(w)
         ref = _printed(walk.multiplicity_table(word))
@@ -186,9 +189,16 @@ def test_pair_step_matches_the_two_branch_reference():
         if not is_spiral(w):
             for u, v in spiral_factorizations(w):
                 word = element_to_word(u) + element_to_word(v)
-                assert _printed(multiplicity_table(word)) == _printed(walk.multiplicity_table(word))
+                ref = _printed(walk.multiplicity_table(word))
+                assert _printed(multiplicity_table(word)) == ref
+                factorization_refs[tuple(word)] = ref
                 words += 1
     assert words == 166 + 2 * 108
+    walked = [
+        (word, _printed(table))
+        for word, table in multiplicity_tables(list(factorization_refs))
+    ]
+    assert walked == sorted(factorization_refs.items())
 
 
 def test_multiplicity_tables_are_pinned():

@@ -3,7 +3,8 @@
 import pytest
 
 from schubert_a2 import verify
-from schubert_a2.verify import SUITES, run_criterion, run_suite
+from schubert_a2.alcove import parse_word
+from schubert_a2.verify import CRITERIA, SUITES, run_criterion, run_suite
 
 
 def test_unknown_suite():
@@ -46,10 +47,15 @@ def test_workers_match_serial(suite):
     assert all(r.passed for r in serial)
 
 
-def test_capped_criterion_reports_its_bound():
-    result = run_criterion("setup", max_length=13)
-    assert result.passed and result.bound == 12
-    assert result.detail.endswith("(l <= 12)")
+def test_every_row_checks_the_bound_it_is_given(monkeypatch):
+    # one spiral owner and one non-spiral owner of length 13, the latter a
+    # 36-point witness so that the loci row's census fact holds
+    owners = (("0120120120120", True), ("0102010201020", False))
+    monkeypatch.setattr(verify, "_owners", lambda bound: owners)
+    for key in CRITERIA:
+        result = run_criterion(key, 13)
+        assert result.passed and result.bound == 13, result
+        assert result.detail.endswith(" checks (l <= 13)"), result
 
 
 def test_failure_names_identity_and_owner(monkeypatch):
@@ -58,3 +64,17 @@ def test_failure_names_identity_and_owner(monkeypatch):
     result = run_criterion("q", 4)
     assert not result.passed and result.bound == 4
     assert result.detail.startswith("9 failed in 9 checks (l <= 4): q-table 010, ")
+
+
+def test_factorization_failure_names_its_owner(monkeypatch):
+    owner = parse_word("0102")
+    table_of = verify.multiplicity_table_of
+
+    def perturbed(w):
+        table = table_of(w)
+        return {**table, w: -table[w]} if w == owner else table
+
+    monkeypatch.setattr(verify, "multiplicity_table_of", perturbed)
+    result = run_criterion("kumar", 6)
+    assert not result.passed and result.bound == 6
+    assert result.detail == "1 failed in 64 checks (l <= 6): factorizations 0102"
