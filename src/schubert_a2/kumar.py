@@ -112,21 +112,32 @@ def _level_root(d, k):
     return (a + n, b + n, c + n)
 
 
+# Per positive finite root d, the roots of the levels 0 and 1; level k is
+# the first plus -k for k <= 0, the second plus k - 1 for k >= 1.
+_LEVEL_BASES = tuple((_level_root(d, 0), _level_root(d, 1)) for d in POSITIVE_ROOTS)
+
+
 def psi_set(w, x):
     """Positive real roots whose reflections keep x inside the hull of w.
 
     s_{d,k} carries x to x + t * unit(d) with 3k = pairing(x, d) + t, so
     the reflections are the t of the hull's d-chord through x with
     t = -pairing(x, d) mod 3, the reflections qstat.q_brute counts, each at
-    level k = (pairing(x, d) + t) / 3.
+    level k = (pairing(x, d) + t) / 3: the levels from ceil((p + lo) / 3)
+    to floor((p + hi) / 3) for the chord [lo, hi] and p = pairing(x, d).
     """
     require_below(x, w)
     cx = x.center()
     out = set()
-    for d, (lo, hi) in zip(POSITIVE_ROOTS, chords(hull_of(w), cx)):
+    for d, (lo, hi), ((a0, b0, c0), (a1, b1, c1)) in zip(
+        POSITIVE_ROOTS, chords(hull_of(w), cx), _LEVEL_BASES
+    ):
         p = pairing(cx, d)
-        for t in range(lo + (-p - lo) % 3, hi + 1, 3):
-            out.add(_level_root(d, (p + t) // 3))
+        for k in range(-((-p - lo) // 3), (p + hi) // 3 + 1):
+            if k <= 0:
+                out.add((a0 - k, b0 - k, c0 - k))
+            else:
+                out.add((a1 + k - 1, b1 + k - 1, c1 + k - 1))
     return out
 
 

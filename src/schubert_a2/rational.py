@@ -11,13 +11,20 @@ unique; equality is nevertheless decided by exact cross-multiplication.
 All arithmetic is on integers.  Real roots are primitive forms, so by
 Gauss's lemma an exact quotient by one is integral, and long division
 (p_div_form) can stop at the first leading coefficient the pivot
-coefficient does not divide.  Keeping values cancelled is cheap because a
-cancelled numerator limits what can cancel next:
+coefficient does not divide.  What a division needs of its form (pivot,
+shifts, the other terms) is a plan, built once per form.  For a form with
+a unit coefficient the plan also holds an integer point of the form's
+hyperplane; a polynomial that does not vanish there is not divisible by
+the form, which settles most failing trial divisions exactly, with no
+division run.  Keeping values cancelled is cheap because a cancelled
+numerator limits what can cancel next:
   * a form that does not divide a polynomial does not divide any quotient of
     it, so one pass over the distinct forms cancels a fraction completely;
   * dividing a cancelled value by a form needs one trial division, by that
     form only;
-  * in a sum, only forms both addends carry equally often can cancel.
+  * in a sum, only forms both addends carry equally often can cancel;
+  * a ring automorphism such as a simple reflection keeps a value
+    cancelled, so substitution needs no division at all.
 """
 
 from __future__ import annotations
@@ -48,12 +55,6 @@ def p_add(a, b):
 
 def p_neg(a):
     return {e: -c for e, c in a.items()}
-
-
-def p_scale(a, k):
-    if k == 0:
-        return {}
-    return {e: c * k for e, c in a.items()}
 
 
 def p_mul(a, b):
@@ -96,29 +97,59 @@ def p_mul_form(a, form):
     return out
 
 
-def p_div_form(a, form):
-    """Exact quotient a / form, or None when the form does not divide a.
+@functools.cache
+def _division_plan(form):
+    """(pivot, cp, shift, rest, point): what long division by a nonzero
+    linear form needs, computed once per form.
 
-    Long division in the pivot variable, integers only.  Real roots are
-    primitive forms, so by Gauss's lemma a quotient that exists is integral:
-    the first leading coefficient the pivot coefficient does not divide
-    proves the form does not divide a.
+    The pivot is a variable with a unit coefficient if there is one, cp its
+    coefficient, shift the exponent change b^e -> b^e / b_pivot of a
+    quotient term, and rest the other terms (exponent change b^e -> b^e *
+    b_i / b_pivot, coefficient of b_i).  With a unit pivot, point is an
+    integer point of the hyperplane form = 0: b_i = 1 and b_j = 2 for the
+    other two variables, and b_pivot = -(f_i + 2 * f_j) * cp, since cp * cp
+    = 1.  Without one, point is None.
     """
-    if not a:
-        return {}
-    # divide in a variable with a unit coefficient if there is one
     for pivot, cp in enumerate(form):
         if cp in (1, -1):
             break
     else:
         pivot, cp = next((i, c) for i, c in enumerate(form) if c)
-    q0, q1, q2 = (-(i == pivot) for i in range(3))
-    # b^e -> b^e * b_i / b_pivot, with the coefficient of b_i in the form
-    rest = [
-        (q0 + (i == 0), q1 + (i == 1), q2 + (i == 2), k)
+    shift = tuple(-(i == pivot) for i in range(3))
+    rest = tuple(
+        (shift[0] + (i == 0), shift[1] + (i == 1), shift[2] + (i == 2), k)
         for i, k in enumerate(form)
         if k and i != pivot
-    ]
+    )
+    point = None
+    if cp in (1, -1):
+        i, j = (k for k in range(3) if k != pivot)
+        point = [0, 0, 0]
+        point[i], point[j], point[pivot] = 1, 2, -(form[i] + 2 * form[j]) * cp
+        point = tuple(point)
+    return pivot, cp, shift, rest, point
+
+
+def p_div_form(a, form):
+    """Exact quotient a / form, or None when the form does not divide a.
+
+    If the form divides a, a vanishes on the form's hyperplane; so a value
+    a(P) != 0 at the plan's point P proves it does not, with no division.
+    Otherwise: long division in the pivot variable, integers only.  Real
+    roots are primitive forms, so by Gauss's lemma a quotient that exists is
+    integral: the first leading coefficient the pivot coefficient does not
+    divide proves the form does not divide a.
+    """
+    if not a:
+        return {}
+    pivot, cp, (q0, q1, q2), rest, point = _division_plan(form)
+    if point is not None:
+        x, y, z = point
+        value = 0
+        for (e0, e1, e2), c in a.items():
+            value += c * x**e0 * y**e1 * z**e2
+        if value:
+            return None
     # terms by degree in the pivot: dividing out degree m only touches m - 1
     layers = {}
     for e, c in a.items():
@@ -229,7 +260,7 @@ class RationalNF:
     def divided_by_form(self, form):
         # self is cancelled, so only the new form can divide its numerator
         form, sign = _positive_form(form)
-        num = p_scale(self.num, sign)
+        num = self.num if sign == 1 else p_neg(self.num)
         q = p_div_form(num, form)
         if q is not None:
             return RationalNF(q, self.den, normalize=False)
@@ -249,25 +280,35 @@ class RationalNF:
     def substituted(self, images):
         """Apply a linear change of variables b_i -> images[i] (linear forms).
 
-        Denominator factors map to signed forms; signs move to the numerator.
+        The images must define a ring automorphism of Z[b0,b1,b2] that
+        sends every denominator form to plus or minus a positive real root,
+        as a Weyl group element does (the left Setup Move applies a simple
+        reflection).  An automorphism maps a form that does not divide the
+        numerator to one that does not divide its image, so the value stays
+        cancelled and is not normalized again.  Each power b_i^k is expanded
+        once per call; denominator signs move to the numerator.
         """
-        num = {}
-        for e, c in self.num.items():
-            term = p_const(c)
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    term = p_mul_form(term, images[i])
-            num = p_add(num, term)
         sign = 1
         den = []
-        for f in self.den:
-            img = tuple(
-                sum(f[i] * images[i][j] for i in range(3)) for j in range(3)
+        columns = tuple(zip(*images))
+        for a, b, c in self.den:
+            img, s = _positive_form(
+                tuple(a * x + b * y + c * z for x, y, z in columns)
             )
-            img, s = _positive_form(img)
             sign *= s
             den.append(img)
-        return RationalNF(p_scale(num, sign), tuple(sorted(den)))
+        powers = ([p_const(1)], [p_const(1)], [p_const(1)])
+        num = {}
+        for e, c in self.num.items():
+            term = p_const(c * sign)
+            for i, k in enumerate(e):
+                if k:
+                    pw = powers[i]
+                    while len(pw) <= k:
+                        pw.append(p_mul_form(pw[-1], images[i]))
+                    term = p_mul(term, pw[k])
+            num = p_add(num, term)
+        return RationalNF(num, tuple(sorted(den)), normalize=False)
 
     def __str__(self):
         if not self.den:
@@ -285,10 +326,12 @@ def _form_str(form):
 
 
 def _positive_form(form):
-    if all(c >= 0 for c in form) and any(form):
-        return tuple(form), 1
-    if all(c <= 0 for c in form) and any(form):
-        return tuple(-c for c in form), -1
+    a, b, c = form
+    if a >= 0 and b >= 0 and c >= 0:
+        if a or b or c:
+            return (a, b, c), 1
+    elif a <= 0 and b <= 0 and c <= 0:
+        return (-a, -b, -c), -1
     raise ValueError("mixed-sign linear form %r is not a real root" % (form,))
 
 

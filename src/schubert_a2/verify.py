@@ -90,11 +90,16 @@ def _owners(bound):
     return tuple(sorted(owners, key=lambda o: (len(o[0]), o[0])))
 
 
-def _pool_map(fn, items, workers):
+def _run_row(row, words, bound, workers):
+    """(per-owner failure names, failed facts) of one row.  With more than
+    one worker the facts hook is one more task in the same pool, submitted
+    before the per-owner checks so that it overlaps them."""
     if workers <= 1:
-        return [fn(x) for x in items]
+        return [row.check(w) for w in words], row.facts(bound) if row.facts else []
     with multiprocessing.Pool(workers) as pool:
-        return pool.map(fn, items)
+        facts = pool.apply_async(row.facts, (bound,)) if row.facts else None
+        names = pool.map(row.check, words)
+        return names, facts.get() if facts else []
 
 
 # --- per-owner checks take word strings so they pickle cleanly -------------
@@ -322,10 +327,10 @@ SUITES = {
 def run_criterion(key, max_length=12, workers=1):
     """Check one criterion on every owner up to max_length; the result
     carries that bound and the wall time of the whole check, census facts
-    included.  The per-owner checks are spread over `workers` processes; a
-    row's facts, such as the kumar row's factorisation walk, run once in
-    this process.  A bound that leaves the criterion no owner is a
-    ValueError: no gate passes on zero checks."""
+    included.  The per-owner checks are spread over `workers` processes,
+    and a row's facts, such as the kumar row's factorisation walk, run once,
+    in the same pool when there is one.  A bound that leaves the criterion
+    no owner is a ValueError: no gate passes on zero checks."""
     if max_length < 0:
         raise ValueError("max_length must be non-negative, got %d" % max_length)
     if workers < 1:
@@ -335,13 +340,12 @@ def run_criterion(key, max_length=12, workers=1):
     words = [word for word, spiral in _owners(max_length) if row.spiral in (None, spiral)]
     if not words:
         raise ValueError("%s has no owners with l <= %d" % (row.name, max_length))
+    names, facts = _run_row(row, words, max_length, workers)
     failures = [
         "%s %s" % (name, word or "e")
-        for word, names in zip(words, _pool_map(row.check, words, workers))
-        for name in names
-    ]
-    if row.facts is not None:
-        failures += row.facts(max_length)
+        for word, owner_names in zip(words, names)
+        for name in owner_names
+    ] + facts
     detail = "%d checks (l <= %d)" % (len(words), max_length)
     if failures:
         detail = "%d failed in %s: %s" % (len(failures), detail, ", ".join(failures[:5]))

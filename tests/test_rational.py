@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schubert_a2.kumar import BETA, is_positive_real_root, simple_root_action
-from schubert_a2.rational import RationalNF, form_poly, p_div_form, p_mul
+from schubert_a2.rational import RationalNF, _division_plan, form_poly, p_div_form, p_mul
 
 # alpha + n*delta for the finite roots alpha = b1, b2, b1 + b2
 ROOTS = [
@@ -101,6 +101,63 @@ def test_division_by_a_non_unit_pivot():
     # no coefficient of 2*b0 + 3*b1 + 3*b2 is a unit, and 2 does not divide 1
     assert p_div_form({(1, 0, 0): 1}, (2, 3, 3)) is None
     assert p_div_form(form_poly((2, 3, 3)), (2, 3, 3)) == {(0, 0, 0): 1}
+
+
+def evaluate(num, point):
+    return sum(c * point[0] ** e[0] * point[1] ** e[1] * point[2] ** e[2] for e, c in num.items())
+
+
+def cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+# every positive real root with coefficient sum at most 25
+ROOTS_25 = [
+    (a, b, c)
+    for a in range(26)
+    for b in range(26 - a)
+    for c in range(26 - a - b)
+    if is_positive_real_root((a, b, c))
+]
+
+
+def test_division_plan_points_lie_on_their_hyperplanes():
+    assert len(ROOTS_25) == 51
+    for f in ROOTS_25:
+        for form in (f, tuple(-c for c in f)):
+            pivot, cp, _, _, point = _division_plan(form)
+            assert form[pivot] == cp
+            if cp in (1, -1):
+                assert sum(c * p for c, p in zip(form, point)) == 0, form
+            else:
+                # no unit coefficient, so no certificate: only long division
+                assert point is None and not any(c in (1, -1) for c in form)
+
+
+def test_a_polynomial_vanishing_at_the_point_still_goes_through_division():
+    # b0 + b1 has the point (-1, 1, 2), and so has 2*b0 + b2, which b0 + b1
+    # does not divide; only the long division can return None here
+    assert _division_plan((1, 1, 0))[4] == (-1, 1, 2)
+    g = form_poly((2, 0, 1))
+    assert evaluate(g, (-1, 1, 2)) == 0
+    assert p_div_form(g, (1, 1, 0)) is None
+    assert p_div_form(p_mul(g, form_poly((1, 1, 0))), (1, 1, 0)) == g
+    # the same for every root: a second form through its point, times a cofactor
+    for f in ROOTS_25:
+        point = _division_plan(f)[4]
+        if point is None:
+            continue
+        x, y, z = point
+        # the forms through the point are spanned by these three; one of
+        # them is not a multiple of f (their cross product with f is not 0)
+        g = next(
+            g for g in ((y, -x, 0), (z, 0, -x), (0, z, -y))
+            if any(cross(f, g))
+        )
+        # b0 + 3*b2^2 is irreducible and not linear, so f divides neither factor
+        a = p_mul(form_poly(g), {(1, 0, 0): 1, (0, 0, 2): 3})
+        assert evaluate(a, point) == 0
+        assert p_div_form(a, f) is None, (f, g)
 
 
 @settings(deadline=None, max_examples=40)
