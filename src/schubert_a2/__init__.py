@@ -14,6 +14,7 @@ from .alcove import (
     descents,
     element_to_word,
     format_word,
+    format_words,
     is_spiral,
     is_twisted_spiral,
     length,

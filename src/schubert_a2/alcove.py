@@ -20,6 +20,8 @@ and crosses a wall on a line (a, v) = k for one positive root a.  The
 a right descent of w when the wall separates w's alcove from A0: one
 pairing of w's center with a.  element_to_word walks (center, finite part)
 down to Q0 this way, with no group products and no length lookups.
+format_words formats a whole set by one such step per element: a word is
+its child's word plus the descent letter.
 """
 
 from __future__ import annotations
@@ -309,25 +311,38 @@ def word_to_element(word):
     return w
 
 
-def element_to_word(w):
-    """A reduced word for w, stripping the smallest right descent at each step.
+def _descent_walk(w, stops):
+    """Strip the smallest right descent from w until the center is in
+    stops, which holds Q0: (centers left, letters stripped, center reached).
 
     The walk carries only (center, finite part): each step reads the
     smallest descent off _FIN_WALL, adds its step to the center and moves
-    the finite part by _FIN_MUL, until the center is Q0.
+    the finite part by _FIN_MUL.
     """
-    letters = []
-    (x, y), fin = w.center(), w.fin
-    while (x, y) != Q0:
+    centers, letters = [], []
+    c, fin = w.center(), w.fin
+    x, y = c
+    while c not in stops:
         for i, ((a, b), down, step) in enumerate(_FIN_WALL[fin]):
             p = a * x + b * y  # pairing((x, y), root), inlined
             if p > 3 if down else p < 0:
                 break
         else:
-            raise AssertionError("no right descent at center %r" % ((x, y),))
+            raise AssertionError("no right descent at center %r" % (c,))
+        centers.append(c)
         letters.append(i)
         x, y = x + step[0], y + step[1]
+        c = (x, y)
         fin = _FIN_MUL[fin][SIMPLES[i].fin]
+    return centers, letters, c
+
+
+_Q0_ONLY = frozenset([Q0])
+
+
+def element_to_word(w):
+    """A reduced word for w, stripping the smallest right descent at each step."""
+    letters = _descent_walk(w, _Q0_ONLY)[1]
     letters.reverse()
     return letters
 
@@ -344,6 +359,26 @@ def parse_word(text):
 
 def format_word(w):
     return "".join(str(i) for i in element_to_word(w))
+
+
+def format_words(elements):
+    """{x: format_word(x)} for every x in elements.
+
+    Each word is its child's word plus one letter, the child being x*s_i
+    for the smallest right descent i, as in element_to_word.  The memo is
+    local to the call and keyed by center; a walk stops at the first
+    center it holds.  A child outside the set is walked the same way, so
+    any set works, and a down-closed one costs one step per element.
+    """
+    memo, out = {Q0: ""}, {}
+    for w in elements:
+        centers, letters, c = _descent_walk(w, memo)
+        word = memo[c]
+        for c, i in zip(reversed(centers), reversed(letters)):
+            word += "012"[i]
+            memo[c] = word
+        out[w] = word
+    return out
 
 
 def display_word(w):

@@ -20,6 +20,7 @@ from .alcove import (
     descents,
     element_from_center,
     format_word,
+    format_words,
     is_spiral,
     length,
     type_of,
@@ -186,12 +187,13 @@ def enumerate_smooth_varieties():
     """The complete census of smooth Schubert varieties, grouped by length
     and word pattern (i, j, k denote distinct letters)."""
     groups = {}
-    for w in sorted(elements_of_length_at_most(5), key=lambda v: (length(v), format_word(v))):
+    words = format_words(elements_of_length_at_most(5))
+    for w in sorted(words, key=lambda v: (length(v), words[v])):
         if classify_schubert(w) != "smooth":
             continue
         n = length(w)
         key = (n, _PATTERNS[n](w))
-        groups.setdefault(key, []).append(format_word(w))
+        groups.setdefault(key, []).append(words[w])
     return [
         {"length": n, "pattern": pat, "count": len(ws), "members": ws}
         for (n, pat), ws in sorted(groups.items())
@@ -241,7 +243,7 @@ class LocusReport(NamedTuple):
 
 def locus_report(w):
     tab = q_table(w)
-    words = {x: format_word(x) for x in tab.entries}
+    words = format_words(tab.entries)
     smooth = smooth_points(w)
     nrs_members = tab.nrs()
     max_nrs = maximal_nrs(w)

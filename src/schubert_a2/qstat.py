@@ -37,6 +37,7 @@ from .alcove import (
     display_word,
     element_from_center,
     format_word,
+    format_words,
     is_spiral,
     is_twisted_spiral,
     length,
@@ -181,6 +182,7 @@ class _Level:
         self.owner = w
         self.hull = hull_of(w)
         self.is_base = is_base_case(w)
+        self.type = type_of(w)
 
     @functools.cached_property
     def below(self):
@@ -198,8 +200,7 @@ class _Level:
 def _shell_value(level, x, k):
     """q on the k-shell of the level's owner, by chamber parity and type;
     only a base case is asked about its interior (k >= 3)."""
-    w, hx = level.owner, level.hull
-    t = type_of(w)
+    hx, t = level.hull, level.type
     if hx.parity == "even":
         return 0 if t == 1 or k <= 1 else 1
     if k <= 1 or (k == 2 and t == 1):
@@ -213,7 +214,7 @@ def _shell_value(level, x, k):
         d = hx.hyperplanes[2].root
         lo, hi = hx.bounds[POSITIVE_ROOTS.index(d)]
         return 2 if trans(x.center(), d) in (lo + 6, hi - 6) else 1
-    return _base4_interior_value(w, x)
+    return _base4_interior_value(level.owner, x)
 
 
 def _q_walk(top, x):
@@ -265,7 +266,7 @@ class QTable(NamedTuple):
         return down_closure(self.entries, positive)
 
     def to_dict(self):
-        words = {x: format_word(x) for x in self.entries}
+        words = format_words(self.entries)
         return {
             "owner": format_word(self.owner),
             "entries": [
@@ -300,10 +301,11 @@ def nrs(w, x):
 def down_closure(members, tops):
     """The members lying below some element of tops.
 
-    x <= y is membership of x's center in y's hull (as in leq), so each
-    top's hull and each member's center is built once.
+    x <= y is membership of x's center in y's hull (as in leq).  A member
+    lies below some top exactly when it lies below a maximal one, so each
+    member's center is tested against the hulls of the maximal tops only.
     """
-    hulls = [hull_of(y) for y in tops]
+    hulls = [hull_of(y) for y in bruhat_maximal(tops)]
     out = set()
     for x in members:
         c = x.center()
@@ -321,16 +323,16 @@ def nrs_set(w):
 def bruhat_maximal(elements):
     """Maximal elements of a finite set under the Bruhat order.
 
-    x is maximal when no other element's hull holds x's center (x <= y as
-    in leq), so each hull and each center is built once.
+    Taken longest first, x is kept exactly when no kept hull holds x's
+    center (x <= y as in leq): anything above x is longer, so it came
+    earlier and lies below a kept element.  Only kept elements get a hull.
     """
-    hulls = [(y, hull_of(y)) for y in elements]
-    out = set()
-    for x, _ in hulls:
+    kept = {}
+    for x in sorted(elements, key=length, reverse=True):
         c = x.center()
-        if not any(y != x and h.contains(c) for y, h in hulls):
-            out.add(x)
-    return out
+        if not any(h.contains(c) for h in kept.values()):
+            kept[x] = hull_of(x)
+    return set(kept)
 
 
 def is_rationally_smooth(w):

@@ -24,7 +24,7 @@ from .alcove import (
     chamber_parity,
     descent_group,
     element_to_word,
-    format_word,
+    format_words,
     is_spiral,
     is_twisted_spiral,
     length,
@@ -86,7 +86,8 @@ class Criterion(NamedTuple):
 @functools.cache
 def _owners(bound):
     """(word, is spiral) for every owner of length <= bound, by length then word."""
-    owners = [(format_word(w), is_spiral(w)) for w in elements_of_length_at_most(bound)]
+    words = format_words(elements_of_length_at_most(bound))
+    owners = [(word, is_spiral(w)) for w, word in words.items()]
     return tuple(sorted(owners, key=lambda o: (len(o[0]), o[0])))
 
 

@@ -29,6 +29,7 @@ from schubert_a2.alcove import (
     element_from_center,
     element_to_word,
     format_word,
+    format_words,
     is_center,
     is_spiral,
     is_twisted_spiral,
@@ -43,6 +44,7 @@ from schubert_a2.alcove import (
     type_of,
     word_to_element,
 )
+from schubert_a2.bruhat import interval
 import walk
 from walk import act, string_step
 
@@ -213,6 +215,17 @@ def test_word_digest():
     assert hashlib.sha256(blob).hexdigest() == (
         "315ca13378b980e6fc5ba3b45faf0e96153d378e5d3cae5e7b3c422263736ef5"
     )
+
+
+def test_format_words_equals_format_word():
+    """format_words against format_word on down-closed sets (every
+    interval with l <= 14, every element with l <= 12) and on sets that
+    are not: one element of length 14, and all elements of length 14."""
+    length_14 = [w for w in all_elements(14) if length(w) == 14]
+    sets = [interval(w) for w in all_elements(14)]
+    sets += [ELEMENTS_12, length_14[:1], length_14]
+    for elements in sets:
+        assert format_words(elements) == {x: format_word(x) for x in elements}
 
 
 def test_types():

@@ -19,7 +19,8 @@ from schubert_a2.alcove import (
     type_of,
     word_to_element,
 )
-from schubert_a2.bruhat import hexagon, interval, leq
+from schubert_a2 import qstat
+from schubert_a2.bruhat import hexagon, hull_of, interval, leq
 from schubert_a2.kumar import kumar_smooth_set
 from schubert_a2.loci import (
     attached_edge_lengths,
@@ -40,7 +41,12 @@ from schubert_a2.qstat import (
     nrs_set,
 )
 
-ELEMENTS = sorted(elements_of_length_at_most(8), key=lambda w: (length(w), format_word(w)))
+
+def _by_length(w):
+    return (length(w), format_word(w))
+
+
+ELEMENTS = sorted(elements_of_length_at_most(8), key=_by_length)
 
 
 def test_codim_one_points_are_smooth():
@@ -107,16 +113,34 @@ def test_maximal_singular_matches_kumar_scan():
         assert maximal_singular(w) == expected, format_word(w)
 
 
-def test_bruhat_maximal_matches_pairwise_leq():
-    """One hull per candidate gives the maximal elements of the pairwise leq
-    definition, on the singular set and the nrs set of every l <= 10 owner."""
+def test_bruhat_maximal_matches_pairwise_leq(monkeypatch):
+    """bruhat_maximal gives the maximal elements of the pairwise leq
+    definition and calls hull_of once per element it returns, on the
+    singular set, the nrs set and a seeded random subset of the interval
+    of every l <= 10 owner."""
 
     def pairwise(elements):
         return {x for x in elements if not any(y != x and leq(x, y) for y in elements)}
 
-    for w in elements_of_length_at_most(10):
-        for members in (interval(w) - smooth_points(w), nrs_set(w)):
-            assert bruhat_maximal(members) == pairwise(members), format_word(w)
+    rng = random.Random(16)
+    cases = []
+    for w in sorted(elements_of_length_at_most(10), key=_by_length):
+        ordered = sorted(interval(w), key=_by_length)
+        cases.append((w, interval(w) - smooth_points(w)))
+        cases.append((w, nrs_set(w)))
+        cases.append((w, set(rng.sample(ordered, rng.randint(0, len(ordered))))))
+    built = []
+
+    def counting_hull_of(y):
+        built.append(y)
+        return hull_of(y)
+
+    monkeypatch.setattr(qstat, "hull_of", counting_hull_of)
+    for w, members in cases:
+        built.clear()
+        result = bruhat_maximal(members)
+        assert result == pairwise(members), format_word(w)
+        assert len(built) == len(result) and set(built) == result, format_word(w)
 
 
 def test_singular_codim():

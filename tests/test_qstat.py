@@ -42,9 +42,10 @@ from schubert_a2.bruhat import (
     triangle_test,
 )
 from schubert_a2.kumar import psi_set
-from schubert_a2.loci import elements_of_length_at_most
+from schubert_a2.loci import elements_of_length_at_most, smooth_points
 from schubert_a2.qstat import (
     NotComparableError,
+    down_closure,
     is_base_case,
     is_rationally_smooth,
     lookup_holds,
@@ -350,6 +351,23 @@ def test_lookup_fails_without_the_step_up(monkeypatch):
 def test_lookup_matches_the_length_reference():
     for w in elements_of_length_at_most(10):
         assert lookup_holds(w) == walk.lookup_holds(w), format_word(w)
+
+
+def test_down_closure_is_the_pairwise_definition():
+    """down_closure against its definition for every owner with l <= 10,
+    with the q > 0 points, the singular set and a seeded random subset of
+    the interval as tops."""
+    rng = random.Random(15)
+    for w in sorted(elements_of_length_at_most(10), key=_by_length):
+        members = sorted(interval(w), key=_by_length)
+        tab, smooth = q_table(w), smooth_points(w)
+        for tops in (
+            [x for x in members if tab.q(x) > 0],
+            [x for x in members if x not in smooth],
+            rng.sample(members, rng.randint(0, len(members))),
+        ):
+            expected = {x for x in members if any(leq(x, y) for y in tops)}
+            assert down_closure(members, tops) == expected, format_word(w)
 
 
 def test_reflections_counted_equal_the_partners_listed():

@@ -10,7 +10,8 @@ bounding box and tests every candidate with is_center and Hull.contains.
 
 lookup_holds is the reference for qstat.lookup_holds's arithmetic: it
 turns every reflection partner into an element and compares lengths to
-find the partners above x.
+find the partners above x, and closes the nrs set downward pair by pair
+with leq rather than through qstat.down_closure.
 
 reflection_partners lists the reflection partners of x from the chords, in
 the order of the stepping walk; q_brute counts them without listing.
@@ -44,14 +45,14 @@ from schubert_a2.alcove import (
     length,
     pairing,
 )
-from schubert_a2.bruhat import chords, hull_of, string_centers, string_direction
+from schubert_a2.bruhat import chords, hull_of, leq, string_centers, string_direction
 from schubert_a2.kumar import (
     _FINITE_TRIPLES,
     _action_matrix,
     is_positive_real_root,
     root_to_reflection,
 )
-from schubert_a2.qstat import down_closure, require_below
+from schubert_a2.qstat import require_below
 from schubert_a2.rational import RationalNF
 
 # Change of the scaled coordinate pair for one center-to-center step along a
@@ -133,7 +134,8 @@ def interval(w):
 
 def lookup_holds(w):
     """One-step reflection lookup detects nrs at every x <= w, with the
-    partners as elements compared by length."""
+    partners as elements compared by length and the nrs set closed
+    downward pair by pair with leq."""
     members = interval(w)
     n = length(w)
     positive = set()
@@ -144,7 +146,7 @@ def lookup_holds(w):
             positive.add(x)
         lx = length(x)
         up[x] = [y for y in partners if length(y) > lx]
-    truly_nrs = down_closure(members, positive)
+    truly_nrs = {x for x in members if any(leq(x, y) for y in positive)}
     return all(
         (x in truly_nrs) == (x in positive or not positive.isdisjoint(up[x]))
         for x in members
