@@ -33,7 +33,6 @@ from .bruhat import (
     leq,
     leq_oracle,
     shell_index,
-    diagonals_and_special,
 )
 from .kumar import (
     equivariant_multiplicity,

@@ -134,6 +134,11 @@ _FIN_OF_ROOT = {A1: _FIN_S1, A2: _FIN_S2, AT: _FIN_SAT}
 Q0 = (1, 1)
 _FIN_Q0 = tuple(_mat_vec(pm, Q0) for pm in _FIN_PMATS)
 
+# The slab values x + 2y, 2x + y and x - y of _FIN_Q0 (bruhat.trans in
+# POSITIVE_ROOTS order).  Those of the center of t(l0, l1) * f are
+# _FIN_SLABS[f] plus 9 * l1, 9 * l0 and 9 * (l0 - l1).
+_FIN_SLABS = tuple((x + 2 * y, 2 * x + y, x - y) for x, y in _FIN_Q0)
+
 
 class AffineElement(NamedTuple):
     """Element w = t(lam) * f of the affine Weyl group."""

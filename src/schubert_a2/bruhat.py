@@ -3,15 +3,23 @@
 For every w the lower interval {x : x <= w} is the set of alcove centers in
 a convex polygon: a hexagon with vertices given by three reflections of w
 when w lies in a chamber, and a degenerate quadrilateral (or a two-element
-chain) when w is spiral.  Membership is decided by three pairs of
-half-plane inequalities in the scaled integer coordinates, one pair per
-positive root direction.
+chain) when w is spiral.  The hull is the meet of three slabs, one pair
+of half-plane inequalities in the scaled integer coordinates per positive
+root direction.
 
-A Hexagon carries its slab bounds, so it serves as the hull of its owner's
-interval, and hull_of is the one memo of hulls: the Hexagon off the strips,
-degenerate_hull on them.  Lines are (direction, trans value) pairs;
-line_meet intersects two of them exactly, and triangle_test decides
-membership in the closed triangle that three of them cut out.
+Membership reads the element, not its center.  The center of
+x = t(l0, l1) * f has slab values fixed offsets of f plus 9 * l1, 9 * l0
+and 9 * (l0 - l1), so for each of the six finite parts the slabs are a
+lattice box: integer ranges on l1, l0 and l0 - l1.  A hull carries its
+slab bounds and those six boxes, and Hull.contains(x), the one
+membership test, compares x's coordinates with the box of its finite part;
+leq(x, w) is hull_of(w).contains(x).
+
+A Hexagon carries the same fields, so it serves as the hull of its
+owner's interval, and hull_of is the one memo of hulls: the Hexagon off
+the strips, degenerate_hull on them.  Lines are (direction, trans value)
+pairs; line_meet intersects two of them exactly, and triangle_test
+decides membership in the closed triangle that three of them cut out.
 
 Along a root string in direction d the centers are p + t * unit(d) for
 integers t outside one residue class mod 3, and a step in t moves the other
@@ -31,6 +39,7 @@ import functools
 from typing import NamedTuple
 
 from .alcove import (
+    _FIN_SLABS,
     E,
     POSITIVE_ROOTS,
     Reflection,
@@ -153,17 +162,20 @@ def centers_between(p, q):
 
 
 class Hull(NamedTuple):
-    """Convex hull of a Bruhat interval: vertex elements plus slab bounds."""
+    """Convex hull of a Bruhat interval: vertex elements, slab bounds, and
+    the same slabs as lattice boxes."""
 
     owner: object
     vertices: tuple
     bounds: tuple  # ((lo, hi) per direction, in POSITIVE_ROOTS order)
+    boxes: tuple  # per finite part f, (lo, hi) of l1, then l0, then l0 - l1
 
-    def contains(self, point):
-        # trans(point, d) for the three directions, inlined: leq runs here
-        x, y = point
-        (lo1, hi1), (lo2, hi2), (lot, hit) = self.bounds
-        return lo1 <= x + 2 * y <= hi1 and lo2 <= 2 * x + y <= hi2 and lot <= x - y <= hit
+    def contains(self, x):
+        """Whether the element x = t(l0, l1) * f lies in the hull: three
+        integer ranges on its coordinates, with no center built."""
+        (l0, l1), f = x
+        a1, b1, a0, b0, ad, bd = self.boxes[f]
+        return a1 <= l1 <= b1 and a0 <= l0 <= b0 and ad <= l0 - l1 <= bd
 
 
 class Hexagon(NamedTuple):
@@ -171,8 +183,8 @@ class Hexagon(NamedTuple):
 
     vertices[0] is the owner; vertices run counterclockwise.  hyperplanes
     holds the two chamber walls (counterclockwise one first) and the third
-    hyperplane closest to the owner, each as a Reflection.  bounds are the
-    slab bounds of the hull, as in Hull.
+    hyperplane closest to the owner, each as a Reflection.  bounds and
+    boxes are the slab bounds of the hull and its lattice boxes, as in Hull.
     """
 
     owner: object
@@ -180,6 +192,7 @@ class Hexagon(NamedTuple):
     vertices: tuple
     parity: str
     bounds: tuple
+    boxes: tuple
 
     contains = Hull.contains
 
@@ -191,11 +204,24 @@ class Hexagon(NamedTuple):
 
 
 def _bounds(vertices):
+    """(bounds, boxes) of the hull of the vertices: the (lo, hi) slab
+    bounds of their centers per direction, and per finite part f the
+    ranges of l1, l0 and l0 - l1 that keep _FIN_SLABS[f] plus 9 * l1,
+    9 * l0 and 9 * (l0 - l1) inside them."""
     centers = [v.center() for v in vertices]
-    return tuple(
+    bounds = tuple(
         (min(trans(c, d) for c in centers), max(trans(c, d) for c in centers))
         for d in POSITIVE_ROOTS
     )
+    boxes = tuple(
+        tuple(
+            b
+            for o, (lo, hi) in zip(offsets, bounds)
+            for b in (-((o - lo) // 9), (hi - o) // 9)  # lo <= o + 9 * l <= hi
+        )
+        for offsets in _FIN_SLABS
+    )
+    return bounds, boxes
 
 
 def hexagon(w):
@@ -221,12 +247,14 @@ def hull_of(w):
     w2 = rg * w1
     w4 = rg * w5
     vertices = (w, w1, w2, w3, w4, w5)
+    bounds, boxes = _bounds(vertices)
     return Hexagon(
         owner=w,
         hyperplanes=(Reflection(a, i), Reflection(b, j), Reflection(g, k)),
         vertices=vertices,
         parity=chamber_parity(w),
-        bounds=_bounds(vertices),
+        bounds=bounds,
+        boxes=boxes,
     )
 
 
@@ -248,12 +276,12 @@ def degenerate_hull(w):
         si, sj = SIMPLES[i], SIMPLES[j]
         v3 = (si * sj * si) * w
         vertices = (w, si * w, si * v3, v3)
-    return Hull(w, vertices, _bounds(vertices))
+    return Hull(w, vertices, *_bounds(vertices))
 
 
 def leq(x, w):
     """Bruhat order x <= w, decided by hull membership."""
-    return hull_of(w).contains(x.center())
+    return hull_of(w).contains(x)
 
 
 def leq_oracle(x, w):
@@ -292,7 +320,7 @@ def interval(w):
 
 def shell_index(h, x):
     """The k with x on the k-shell of the hull (0-shell is the boundary)."""
-    # the three trans values read once, inlined as in Hull.contains
+    # the three trans values read once, inlined
     cx, cy = x.center()
     (lo1, hi1), (lo2, hi2), (lot, hit) = h.bounds
     s1, s2, st = cx + 2 * cy, 2 * cx + cy, cx - cy
@@ -337,19 +365,6 @@ def special_segments(hexagon_):
         return []
     edges = (hexagon_.edge(1), hexagon_.edge(4))
     return [e[2:len(e) - 2] if len(e) >= 6 else [] for e in edges]
-
-
-def diagonals_and_special(hexagon_):
-    """Per-vertex diagonals plus special edges and segments.
-
-    Returns (diagonals, edges, segments): diagonals maps each vertex index
-    to the centers of its interior diagonal; edges is the list of special
-    edge index pairs (empty in even chambers); segments the matching center
-    lists.
-    """
-    diagonals = {i: diagonal_centers(hexagon_, i) for i in range(6)}
-    edges = [(1, 2), (4, 5)] if hexagon_.parity == "odd" else []
-    return diagonals, edges, special_segments(hexagon_)
 
 
 def hexagon_to_dict(hexagon_):

@@ -32,7 +32,7 @@ from .qstat import (
     is_rationally_smooth,
     maximal_nrs,
     nrs_codimension,
-    q_table,
+    q_table_and_nrs,
 )
 
 
@@ -242,10 +242,12 @@ class LocusReport(NamedTuple):
 
 
 def locus_report(w):
-    tab = q_table(w)
+    """Every x <= w with its q, shell and locus memberships, and a summary.
+    The q table and the nrs set are built once, also for a spiral owner,
+    whose maximal nrs points and codimensions read the same set."""
+    tab, nrs_members = q_table_and_nrs(w)
     words = format_words(tab.entries)
     smooth = smooth_points(w)
-    nrs_members = tab.nrs()
     max_nrs = maximal_nrs(w)
     max_sing = maximal_singular(w)
     h = hull_of(w)

@@ -301,36 +301,49 @@ def nrs(w, x):
 def down_closure(members, tops):
     """The members lying below some element of tops.
 
-    x <= y is membership of x's center in y's hull (as in leq).  A member
-    lies below some top exactly when it lies below a maximal one, so each
-    member's center is tested against the hulls of the maximal tops only.
+    x <= y is membership of x in y's hull (as in leq).  A member lies below
+    some top exactly when it lies below a maximal one, so each member is
+    tested against the hulls of the maximal tops only.
     """
     hulls = [hull_of(y) for y in bruhat_maximal(tops)]
-    out = set()
-    for x in members:
-        c = x.center()
-        if any(h.contains(c) for h in hulls):
-            out.add(x)
-    return out
+    return {x for x in members if any(h.contains(x) for h in hulls)}
+
+
+@functools.lru_cache(maxsize=1)
+def _spiral_q_table(w):
+    """q_table(w) of a spiral owner, the last one kept.  A spiral's nrs set
+    is the down-closure of its q > 0 points, so it needs the whole table,
+    and q_table_and_nrs hands that same table to its caller."""
+    return q_table(w)
 
 
 @functools.cache
 def nrs_set(w):
     """All x <= w that are nrs in the Schubert variety of w, as a frozenset."""
-    return frozenset(q_table(w).nrs())
+    tab = _spiral_q_table(w) if is_spiral(w) else q_table(w)
+    return frozenset(tab.nrs())
+
+
+def q_table_and_nrs(w):
+    """(q_table(w), the nrs set), both from one table: for a spiral owner
+    the kept table and nrs_set(w), so that maximal_nrs(w) finds the set
+    built; otherwise a new table and its q > 0 points."""
+    if is_spiral(w):
+        return _spiral_q_table(w), nrs_set(w)
+    tab = q_table(w)
+    return tab, tab.nrs()
 
 
 def bruhat_maximal(elements):
     """Maximal elements of a finite set under the Bruhat order.
 
-    Taken longest first, x is kept exactly when no kept hull holds x's
-    center (x <= y as in leq): anything above x is longer, so it came
-    earlier and lies below a kept element.  Only kept elements get a hull.
+    Taken longest first, x is kept exactly when no kept hull holds x
+    (x <= y as in leq): anything above x is longer, so it came earlier and
+    lies below a kept element.  Only kept elements get a hull.
     """
     kept = {}
     for x in sorted(elements, key=length, reverse=True):
-        c = x.center()
-        if not any(h.contains(c) for h in kept.values()):
+        if not any(h.contains(x) for h in kept.values()):
             kept[x] = hull_of(x)
     return set(kept)
 

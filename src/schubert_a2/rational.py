@@ -12,12 +12,11 @@ All arithmetic is on integers.  Real roots are primitive forms, so by
 Gauss's lemma an exact quotient by one is integral, and long division
 (p_div_form) can stop at the first leading coefficient the pivot
 coefficient does not divide.  What a division needs of its form (pivot,
-shifts, the other terms) is a plan, built once per form.  For a form with
-a unit coefficient the plan also holds an integer point of the form's
-hyperplane; a polynomial that does not vanish there is not divisible by
-the form, which settles most failing trial divisions exactly, with no
-division run.  Keeping values cancelled is cheap because a cancelled
-numerator limits what can cancel next:
+shifts, the other terms) is a plan, built once per form.  The plan also
+holds an integer point of the form's hyperplane; a polynomial that does
+not vanish there is not divisible by the form, which settles most failing
+trial divisions exactly, with no division run.  Keeping values cancelled
+is cheap because a cancelled numerator limits what can cancel next:
   * a form that does not divide a polynomial does not divide any quotient of
     it, so one pass over the distinct forms cancels a fraction completely;
   * dividing a cancelled value by a form needs one trial division, by that
@@ -105,10 +104,10 @@ def _division_plan(form):
     The pivot is a variable with a unit coefficient if there is one, cp its
     coefficient, shift the exponent change b^e -> b^e / b_pivot of a
     quotient term, and rest the other terms (exponent change b^e -> b^e *
-    b_i / b_pivot, coefficient of b_i).  With a unit pivot, point is an
-    integer point of the hyperplane form = 0: b_i = 1 and b_j = 2 for the
-    other two variables, and b_pivot = -(f_i + 2 * f_j) * cp, since cp * cp
-    = 1.  Without one, point is None.
+    b_i / b_pivot, coefficient of b_i).  point is an integer point of the
+    hyperplane form = 0: b_i = cp and b_j = 2 * cp for the other two
+    variables, and b_pivot = -(f_i + 2 * f_j), so the form's value there is
+    cp * (f_i + 2 * f_j) - cp * (f_i + 2 * f_j) = 0 whatever cp is.
     """
     for pivot, cp in enumerate(form):
         if cp in (1, -1):
@@ -121,13 +120,10 @@ def _division_plan(form):
         for i, k in enumerate(form)
         if k and i != pivot
     )
-    point = None
-    if cp in (1, -1):
-        i, j = (k for k in range(3) if k != pivot)
-        point = [0, 0, 0]
-        point[i], point[j], point[pivot] = 1, 2, -(form[i] + 2 * form[j]) * cp
-        point = tuple(point)
-    return pivot, cp, shift, rest, point
+    i, j = (k for k in range(3) if k != pivot)
+    point = [0, 0, 0]
+    point[i], point[j], point[pivot] = cp, 2 * cp, -(form[i] + 2 * form[j])
+    return pivot, cp, shift, rest, tuple(point)
 
 
 def p_div_form(a, form):
@@ -142,14 +138,12 @@ def p_div_form(a, form):
     """
     if not a:
         return {}
-    pivot, cp, (q0, q1, q2), rest, point = _division_plan(form)
-    if point is not None:
-        x, y, z = point
-        value = 0
-        for (e0, e1, e2), c in a.items():
-            value += c * x**e0 * y**e1 * z**e2
-        if value:
-            return None
+    pivot, cp, (q0, q1, q2), rest, (x, y, z) = _division_plan(form)
+    value = 0
+    for (e0, e1, e2), c in a.items():
+        value += c * x**e0 * y**e1 * z**e2
+    if value:
+        return None
     # terms by degree in the pivot: dividing out degree m only touches m - 1
     layers = {}
     for e, c in a.items():

@@ -1,7 +1,7 @@
 """Batch verification of the structural theorems against independent oracles.
 
 Each criterion replays one exact statement over every owner up to a length
-bound: hull membership against the subexpression oracle, the closed
+bound: the interval and leq against the subexpression oracle, the closed
 q-form against brute reflection counting, heredity and lookup, the
 multiplicity cross-checks, the Setup and Simple Move identities, and the
 global censuses.  `CRITERIA` is the one table of them and `run_criterion`
@@ -105,9 +105,21 @@ def _run_row(row, words, bound, workers):
 
 # --- per-owner checks take word strings so they pickle cleanly -------------
 
+@functools.cache
+def _elements(bound):
+    """Every element of length <= bound, as a tuple."""
+    return tuple(elements_of_length_at_most(bound))
+
+
 def _hull(word):
+    # the interval, and leq for every x at most one longer than w, so the
+    # elements just outside the hull are asked too
     w = parse_word(word)
-    return [] if interval(w) == oracle_interval(w) else ["interval"]
+    below = oracle_interval(w)
+    bad = [] if interval(w) == below else ["interval"]
+    if not all(leq(x, w) == (x in below) for x in _elements(length(w) + 1)):
+        bad.append("leq")
+    return bad
 
 
 def _q(word):

@@ -33,7 +33,6 @@ from schubert_a2.bruhat import (
     degenerate_hull,
     diagonal_centers,
     diagonal_direction,
-    diagonals_and_special,
     hexagon,
     hexagon_to_dict,
     hull_of,
@@ -43,6 +42,7 @@ from schubert_a2.bruhat import (
     line_meet,
     oracle_interval,
     shell_index,
+    special_segments,
     string_direction,
     trans,
     triangle_test,
@@ -74,6 +74,28 @@ def test_interval_trivia():
 def test_oracle_equivalence_to_length_10():
     for w in ELEMENTS:
         assert interval(w) == oracle_interval(w), format_word(w)
+
+
+def test_leq_is_oracle_membership_to_length_12():
+    """leq(x, w) is membership in the subexpression oracle's interval for
+    every owner with l(w) <= 12 and every x with l(x) <= 13, so elements
+    just outside each hull are asked too."""
+    candidates = elements_of_length_at_most(13)
+    assert (len(ELEMENTS_12), len(candidates)) == (235, 274)
+    for w in ELEMENTS_12:
+        below = oracle_interval(w)
+        for x in candidates:
+            assert leq(x, w) == (x in below), (format_word(w), format_word(x))
+
+
+def test_membership_is_the_center_test():
+    """Hull.contains(x) on the lattice boxes equals the center test against
+    the slab bounds, for every owner with l <= 12 and every x with l <= 13."""
+    candidates = elements_of_length_at_most(13)
+    for w in ELEMENTS_12:
+        h = hull_of(w)
+        for x in candidates:
+            assert h.contains(x) == walk.contains(h, x.center()), (format_word(w), format_word(x))
 
 
 def test_oracle_count_is_lattice_count():
@@ -237,6 +259,19 @@ def test_translated_hexagon_shells():
         assert tuple((lo + 9, hi - 9) for lo, hi in outer.bounds) == inner.bounds
 
 
+def diagonals_and_special(hexagon_):
+    """Per-vertex diagonals plus special edges and segments.
+
+    Returns (diagonals, edges, segments): diagonals maps each vertex index
+    to the centers of its interior diagonal; edges is the list of special
+    edge index pairs (empty in even chambers); segments the matching center
+    lists.
+    """
+    diagonals = {i: diagonal_centers(hexagon_, i) for i in range(6)}
+    edges = [(1, 2), (4, 5)] if hexagon_.parity == "odd" else []
+    return diagonals, edges, special_segments(hexagon_)
+
+
 def test_diagonals_and_special_segments():
     for w in ELEMENTS:
         if is_spiral(w) or length(w) < 4:
@@ -356,7 +391,7 @@ def test_chords_are_the_hull_intervals():
             assert len(spans) == 3
             for d, (lo, hi) in zip(POSITIVE_ROOTS, spans):
                 ux, uy = UNIT[d]
-                inside = [t for t in range(-50, 51) if h.contains((p[0] + t * ux, p[1] + t * uy))]
+                inside = [t for t in range(-50, 51) if walk.contains(h, (p[0] + t * ux, p[1] + t * uy))]
                 assert list(range(lo, hi + 1)) == inside, (format_word(w), p, d)
 
 

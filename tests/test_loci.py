@@ -275,6 +275,30 @@ def test_locus_report_evaluates_each_locus_once(word):
     assert kumar_smooth_set.cache_info().misses == (1 if is_spiral(w) else 0)
 
 
+def test_spiral_locus_report_builds_one_table(monkeypatch):
+    """A spiral report builds its q table and its down-closure once: the
+    maximal nrs points and both codimensions read the nrs set built."""
+    calls = {"q_table": 0, "down_closure": 0}
+
+    def counting(name):
+        fn = getattr(qstat, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(qstat, name, counting(name))
+    for memo in (qstat._spiral_q_table, nrs_set, maximal_nrs, kumar_smooth_set):
+        memo.cache_clear()
+    w = parse_word("2102102102102")
+    assert is_spiral(w)
+    locus_report(w)
+    assert calls == {"q_table": 1, "down_closure": 1}
+
+
 def test_memoized_loci_are_frozensets():
     for word in ("", "0121", "0120120", "012101201"):
         w = parse_word(word)

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from schubert_a2.alcove import (
+    AffineElement,
     E,
     POSITIVE_ROOTS,
     SIMPLES,
@@ -37,6 +38,7 @@ from schubert_a2.bruhat import (
     hull_of,
     interval,
     leq,
+    oracle_interval,
     shell_index,
     trans,
     triangle_test,
@@ -45,6 +47,7 @@ from schubert_a2.kumar import psi_set
 from schubert_a2.loci import elements_of_length_at_most, smooth_points
 from schubert_a2.qstat import (
     NotComparableError,
+    bruhat_maximal,
     down_closure,
     is_base_case,
     is_rationally_smooth,
@@ -351,6 +354,37 @@ def test_lookup_fails_without_the_step_up(monkeypatch):
 def test_lookup_matches_the_length_reference():
     for w in elements_of_length_at_most(10):
         assert lookup_holds(w) == walk.lookup_holds(w), format_word(w)
+
+
+def test_order_tests_build_no_center(monkeypatch):
+    """leq, down_closure and bruhat_maximal read the elements' lattice
+    coordinates: with AffineElement.center raising, they still agree with
+    the subexpression oracle on a few owners, spiral ones included.  Hulls
+    and lengths are built before the patch."""
+    owners = [parse_word(t) for t in ("0121", "01210", "0120120", "012101201", "2102102102102")]
+    candidates = elements_of_length_at_most(14)
+    cases = []
+    for w in owners:
+        members = interval(w)
+        tab = q_table(w)
+        tops = [x for x in members if tab.q(x) > 0]
+        for x in candidates:
+            hull_of(x)
+            length(x)
+        below = {y: oracle_interval(y) for y in tops}
+        closure = {x for x in members if any(x in below[y] for y in tops)}
+        maximal = {y for y in tops if not any(y != z and y in below[z] for z in tops)}
+        cases.append((w, oracle_interval(w), members, tops, closure, maximal))
+
+    def no_center(self):
+        raise AssertionError("center built for %s" % (self,))
+
+    monkeypatch.setattr(AffineElement, "center", no_center)
+    for w, below, members, tops, closure, maximal in cases:
+        assert all(leq(x, w) == (x in below) for x in candidates), format_word(w)
+        assert down_closure(members, tops) == closure
+        assert bruhat_maximal(tops) == maximal
+        assert bruhat_maximal(members) == {w}
 
 
 def test_down_closure_is_the_pairwise_definition():

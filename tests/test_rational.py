@@ -127,11 +127,11 @@ def test_division_plan_points_lie_on_their_hyperplanes():
         for form in (f, tuple(-c for c in f)):
             pivot, cp, _, _, point = _division_plan(form)
             assert form[pivot] == cp
-            if cp in (1, -1):
-                assert sum(c * p for c, p in zip(form, point)) == 0, form
-            else:
-                # no unit coefficient, so no certificate: only long division
-                assert point is None and not any(c in (1, -1) for c in form)
+            # every plan has a point on f = 0, unit pivot or not
+            assert sum(c * p for c, p in zip(form, point)) == 0, form
+    # no coefficient of 2*b0 + 3*b1 + 3*b2 is a unit, and it has a point too
+    point = _division_plan((2, 3, 3))[4]
+    assert point == (-9, 2, 4)
 
 
 def test_a_polynomial_vanishing_at_the_point_still_goes_through_division():
@@ -145,8 +145,6 @@ def test_a_polynomial_vanishing_at_the_point_still_goes_through_division():
     # the same for every root: a second form through its point, times a cofactor
     for f in ROOTS_25:
         point = _division_plan(f)[4]
-        if point is None:
-            continue
         x, y, z = point
         # the forms through the point are spanned by these three; one of
         # them is not a multiple of f (their cross product with f is not 0)

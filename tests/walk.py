@@ -5,8 +5,12 @@ arithmetic of bruhat.chords, string_centers and centers_between: it finds
 each next center by trial and tests hull membership point by point.
 string_chord lists a chord from that arithmetic in the walk's order.
 
+contains is the reference for Hull.contains's lattice boxes: it builds
+the point's three slab values and compares them with the hull's slab
+bounds, and it takes any scaled point, wall points included.
+
 interval is the reference for bruhat.interval's rows: it scans the hull's
-bounding box and tests every candidate with is_center and Hull.contains.
+bounding box and tests every candidate with is_center and contains.
 
 lookup_holds is the reference for qstat.lookup_holds's arithmetic: it
 turns every reflection partner into an element and compares lengths to
@@ -45,7 +49,7 @@ from schubert_a2.alcove import (
     length,
     pairing,
 )
-from schubert_a2.bruhat import chords, hull_of, leq, string_centers, string_direction
+from schubert_a2.bruhat import chords, hull_of, leq, string_centers, string_direction, trans
 from schubert_a2.kumar import (
     _FINITE_TRIPLES,
     _action_matrix,
@@ -74,13 +78,19 @@ def string_step(point, direction, sign=1):
     raise AssertionError("no center step from %r" % (point,))
 
 
+def contains(h, point):
+    """Whether the scaled point lies in hull h: each of its three slab
+    values within the hull's bounds."""
+    return all(lo <= trans(point, d) <= hi for d, (lo, hi) in zip(POSITIVE_ROOTS, h.bounds))
+
+
 def walk_chord(h, point, d):
     """Centers of hull h on the d-string through point, point left out:
     outward in the +d direction, then in the -d direction."""
     out = []
     for sign in (1, -1):
         cur = string_step(point, d, sign)
-        while h.contains(cur):
+        while contains(h, cur):
             out.append(cur)
             cur = string_step(cur, d, sign)
     return out
@@ -127,7 +137,7 @@ def interval(w):
         p2_hi = (hi1 - p1) // 2
         for p2 in range(p2_lo, p2_hi + 1):
             c = (p1, p2)
-            if is_center(c) and h.contains(c):
+            if is_center(c) and contains(h, c):
                 out.append(element_from_center(c))
     return set(out)
 
