@@ -3,9 +3,11 @@
 The smooth points of a non-spiral Schubert variety sit in six alcoves near
 each hexagon vertex: the vertex's right-descent orbit for a type 1 owner
 (a small hexagon), and for type 2 the folded paper hat built from the
-vertex, its two adjacent edge alcoves, and their descent images.  Spiral
-owners fall back to the multiplicity test.  Everything here is
-cross-checked downstream against that test.
+vertex, its two adjacent edge alcoves, and their descent images.  A
+singular spiral owner has two or three maximal singular points, each its
+one reduced word with two or three letters deleted, and its smooth locus
+is the rest of the interval.  Everything here is cross-checked downstream
+against the multiplicity test.
 """
 
 from __future__ import annotations
@@ -19,16 +21,17 @@ from .alcove import (
     descent_group,
     descents,
     element_from_center,
+    element_to_word,
     format_word,
     format_words,
     is_spiral,
     length,
     type_of,
+    word_to_element,
 )
 from .bruhat import centers_between, hull_of, interval, leq, shell_index
-from .kumar import kumar_smooth_set
 from .qstat import (
-    bruhat_maximal,
+    down_closure,
     is_rationally_smooth,
     maximal_nrs,
     nrs_codimension,
@@ -47,11 +50,12 @@ def smooth_points(w):
     Type 1 owners: the right-descent orbit of each hexagon vertex (six
     small hexagons).  Type 2 owners: at each vertex, the vertex, its two
     adjacent edge alcoves, and their images under the unique right descent
-    (the folded paper hat).  Spiral owners: the multiplicity test over the
-    interval.
+    (the folded paper hat).  Spiral owners: the smooth locus is open, so it
+    is the interval minus the down-closure of the maximal singular points.
     """
     if is_spiral(w):
-        return kumar_smooth_set(w)
+        members = interval(w)
+        return members - down_closure(members, maximal_singular(w))
     hx = hull_of(w)
     out = set()
     if type_of(w) == 1:
@@ -102,13 +106,38 @@ def _two_in_points(w):
     return out
 
 
+def _spiral_maximal_singular(w):
+    """The maximal singular points of a spiral w of length n >= 4.
+
+    With a_0 ... a_{n-1} the one reduced word of w and del(P) its product
+    with the positions in P deleted, they are del{0,1,2} for n = 4,
+    del{0,2} for n = 5, and del{0,2} and del{1,3} for n >= 6, with
+    del{0,1,n-2} also when n is even.  This closed form agrees with the
+    Bruhat-maximal points outside the multiplicity test's smooth set for
+    every spiral owner with n <= 24.
+    """
+    word = element_to_word(w)
+    n = len(word)
+    if n == 4:
+        deleted = ({0, 1, 2},)
+    elif n == 5:
+        deleted = ({0, 2},)
+    else:
+        deleted = ({0, 2}, {1, 3}) + (({0, 1, n - 2},) if n % 2 == 0 else ())
+    return {
+        word_to_element([a for k, a in enumerate(word) if k not in p]) for p in deleted
+    }
+
+
 def maximal_singular(w):
-    """Bruhat-maximal singular points: the two-in edge alcoves on long
-    attached edges, plus the maximal nrs points not below them."""
+    """Bruhat-maximal singular points.  Non-spiral owners: the two-in edge
+    alcoves on long attached edges, plus the maximal nrs points not below
+    them.  Spiral owners: two or three deletions from the reduced word
+    (_spiral_maximal_singular)."""
     if classify_schubert(w) == "smooth":
         return set()
     if is_spiral(w):
-        return bruhat_maximal(interval(w) - smooth_points(w))
+        return _spiral_maximal_singular(w)
     xs = _two_in_points(w)
     out = set(xs)
     for z in maximal_nrs(w):

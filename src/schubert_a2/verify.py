@@ -152,10 +152,10 @@ def _lookup(word):
 
 
 def _kumar(word):
-    # On a spiral owner smooth_points and maximal_singular are themselves
-    # read off kumar_smooth_set, so both identities compare an expression
-    # with itself there until the spiral loci have a closed form (ROADMAP
-    # item 5).
+    # The multiplicity test is the oracle on every owner: smooth_points is
+    # the hexagon closed form, or on a spiral owner the complement of the
+    # down-closure of its word deletions, and maximal_singular is checked
+    # against the maximal points outside the test's smooth set.
     w = parse_word(word)
     smooth = kumar_smooth_set(w)
     bad = []
@@ -266,7 +266,7 @@ def _loci(word):
                 bad.append("nrs-codim")
             if max(attached_edge_lengths(w)) >= 6 and singular_codim(w) != 2:
                 bad.append("singular-codim")
-    # spiral owners included: their smooth loci come from the multiplicity test
+    # spiral owners included: their smooth loci are the word-deletion closed form
     pts = smooth_points(w)
     if len(pts) > 36:
         bad.append("smooth-count")

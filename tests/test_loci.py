@@ -21,7 +21,7 @@ from schubert_a2.alcove import (
 )
 from schubert_a2 import qstat
 from schubert_a2.bruhat import hexagon, hull_of, interval, leq
-from schubert_a2.kumar import kumar_smooth_set
+from schubert_a2.kumar import kumar_smooth_set, multiplicity_table_of
 from schubert_a2.loci import (
     attached_edge_lengths,
     classify_schubert,
@@ -245,7 +245,18 @@ def test_locus_report():
     assert {r["x"] for r in data["records"] if r["maximal_nrs"]} == max_nrs_words
 
 
-def test_spiral_report_uses_kumar():
+def test_spiral_loci_match_the_multiplicity_test():
+    """The spiral closed forms against Kumar's test, every spiral owner with
+    l <= 16."""
+    owners = [w for w in elements_of_length_at_most(16) if is_spiral(w)]
+    assert len(owners) == 94
+    for w in owners:
+        smooth = kumar_smooth_set(w)
+        assert smooth_points(w) == smooth, format_word(w)
+        assert maximal_singular(w) == bruhat_maximal(interval(w) - smooth), format_word(w)
+
+
+def test_spiral_report_reads_the_closed_form():
     w = spiral_element((0, 1), 5)
     rep = locus_report(w)
     assert rep.summary["classification"] == "singular"
@@ -272,12 +283,14 @@ def test_locus_report_evaluates_each_locus_once(word):
     kumar_smooth_set.cache_clear()
     locus_report(w)
     assert maximal_nrs.cache_info().misses == 1
-    assert kumar_smooth_set.cache_info().misses == (1 if is_spiral(w) else 0)
+    assert kumar_smooth_set.cache_info().misses == 0
 
 
 def test_spiral_locus_report_builds_one_table(monkeypatch):
-    """A spiral report builds its q table and its down-closure once: the
-    maximal nrs points and both codimensions read the nrs set built."""
+    """A spiral report builds its q table and its nrs down-closure once:
+    the maximal nrs points and both codimensions read the nrs set built.
+    (The smooth locus's closure of the maximal singular points is loci's
+    own call, which the qstat wrappers do not see.)"""
     calls = {"q_table": 0, "down_closure": 0}
 
     def counting(name):
@@ -297,6 +310,15 @@ def test_spiral_locus_report_builds_one_table(monkeypatch):
     assert is_spiral(w)
     locus_report(w)
     assert calls == {"q_table": 1, "down_closure": 1}
+
+
+def test_spiral_locus_report_builds_no_multiplicity_table():
+    w = parse_word("2102102102102")
+    assert is_spiral(w)
+    kumar_smooth_set.cache_clear()
+    multiplicity_table_of.cache_clear()
+    locus_report(w)
+    assert multiplicity_table_of.cache_info().misses == 0
 
 
 def test_memoized_loci_are_frozensets():
