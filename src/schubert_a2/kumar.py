@@ -13,7 +13,9 @@ The table is built by a forward pass over the word that keeps every partial
 product's sum already signed by the parity of the letters read.  A letter i
 pairs each z with z * s_i: since (z * s_i)(b_i) = -z(b_i), both receive the
 same sum with opposite signs, so a pair costs one addition (when both are
-present) and one division by a linear form.
+present), one division by a linear form and one negation, and the partner
+z * s_i comes from a step table per finite part and letter, not from a
+group product.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from .alcove import (
     E,
     POSITIVE_ROOTS,
     SIMPLES,
+    AffineElement,
     Reflection,
     element_to_word,
     length,
-    pairing,
     word_to_element,
 )
 from .bruhat import chords, hull_of, leq
@@ -125,14 +127,22 @@ def psi_set(w, x):
     t = -pairing(x, d) mod 3, the reflections qstat.q_brute counts, each at
     level k = (pairing(x, d) + t) / 3: the levels from ceil((p + lo) / 3)
     to floor((p + hi) / 3) for the chord [lo, hi] and p = pairing(x, d).
+
+    The hull is read once.  The first chord holds t = 0 exactly when x's
+    center lies in all three slabs, that is when x <= w; only when it does
+    not is require_below asked, for its error.
     """
-    require_below(x, w)
-    cx = x.center()
+    center = x.center()
+    spans = chords(hull_of(w), center)
+    lo, hi = spans[0]
+    if not lo <= 0 <= hi:
+        require_below(x, w)
+        raise AssertionError("chord and hull membership disagree")
+    px, py = center  # the pairings with POSITIVE_ROOTS: px, py, px + py
     out = set()
-    for d, (lo, hi), ((a0, b0, c0), (a1, b1, c1)) in zip(
-        POSITIVE_ROOTS, chords(hull_of(w), cx), _LEVEL_BASES
+    for p, (lo, hi), ((a0, b0, c0), (a1, b1, c1)) in zip(
+        (px, py, px + py), spans, _LEVEL_BASES
     ):
-        p = pairing(cx, d)
         for k in range(-((-p - lo) // 3), (p + hi) // 3 + 1):
             if k <= 0:
                 out.add((a0 - k, b0 - k, c0 - k))
@@ -146,26 +156,34 @@ def _check_reduced(word):
         raise ValueError("word %r is not reduced" % (word,))
 
 
+# _PARTNER[f][i] = (dl0, dl1, f'): z * s_i = t(l0 + dl0, l1 + dl1) * f' for
+# every z = t(l0, l1) * f, since z * s_i = t(l0, l1) * (f * s_i).
+_PARTNER = tuple(
+    tuple((*p.lam, p.fin) for p in (AffineElement((0, 0), f) * s for s in SIMPLES))
+    for f in range(6)
+)
+
+
 def _extend(table, i):
     """One letter i of the forward pass on a parity-signed table T.
 
     A partial product z sends T[z] / z(b_i) to z and its negative to z * s_i,
     and (z * s_i)(b_i) = -z(b_i); so the pair {z, z * s_i} receives one sum,
     T'[z] = (T[z] + T[z * s_i]) / (z * s_i)(b_i) and T'[z * s_i] = -T'[z],
-    the sign flip of the longer word included.  Pairs enter the new table in
-    the order their first member appears in T, z before z * s_i."""
-    s = SIMPLES[i]
+    the sign flip of the longer word included.  sum_divided_by_form gives
+    both with one addition, one division and one negation, and z * s_i is
+    read off _PARTNER.  Pairs enter the new table in the order their first
+    member appears in T, z before z * s_i."""
+    partner = [row[i] for row in _PARTNER]
     new = {}
     for z, total in table.items():
         if z in new:
             continue
-        zs = z * s
-        other = table.get(zs)
-        if other is not None:
-            total = total + other
+        (l0, l1), f = z
+        d0, d1, g = partner[f]
+        zs = AffineElement((l0 + d0, l1 + d1), g)
         a, b, c = _action_matrix(z)[i]
-        new[z] = value = total.divided_by_form((-a, -b, -c))
-        new[zs] = -value
+        new[z], new[zs] = total.sum_divided_by_form(table.get(zs), (-a, -b, -c))
     return new
 
 
@@ -222,7 +240,8 @@ def equivariant_multiplicity(w, x, word=None):
         if word_to_element(word) != w:
             raise ValueError("word %r does not evaluate to %s" % (word, w))
         tab = multiplicity_table(word)
-    return tab.get(x, RationalNF.zero())
+    value = tab.get(x)
+    return RationalNF.zero() if value is None else value
 
 
 def smoothness_target(w, x):
@@ -255,18 +274,26 @@ class SetupHypothesisError(ValueError):
 
 
 def _setup_hypotheses(w, x, s, side):
+    """(ws, xs) for the right move, (sw, sx) for the left, once the clauses
+    x <= w, w < ws and xs not<= w hold, checked in that order; xs is built
+    only once w < ws holds."""
     if not leq(x, w):
         raise SetupHypothesisError("x <= w fails")
     if side == "right":
-        if not length(w * s) > length(w):
+        wbig = w * s
+        if not length(wbig) > length(w):
             raise SetupHypothesisError("w < ws fails")
-        if leq(x * s, w):
+        xbig = x * s
+        if leq(xbig, w):
             raise SetupHypothesisError("xs not<= w fails")
     else:
-        if not length(s * w) > length(w):
+        wbig = s * w
+        if not length(wbig) > length(w):
             raise SetupHypothesisError("w < sw fails")
-        if leq(s * x, w):
+        xbig = s * x
+        if leq(xbig, w):
             raise SetupHypothesisError("sx not<= w fails")
+    return wbig, xbig
 
 
 def setup_move_check(w, x, i, side="right"):
@@ -278,25 +305,25 @@ def setup_move_check(w, x, i, side="right"):
     multiplicity by b_i.  Returns True when both hold; raises on a
     hypothesis violation (the Maximum Principle conclusion is asserted).
     """
+    return _setup_move_check(w, x, i, side)
+
+
+def _setup_move_check(w, x, i, side, psi=None):
+    """setup_move_check, reading Psi(w, x) from psi when it is given, so
+    that a caller checking every move of one x builds it once."""
     s = SIMPLES[i]
-    _setup_hypotheses(w, x, s, side)
-    beta = BETA[i]
+    wbig, xbig = _setup_hypotheses(w, x, s, side)
+    if psi is None:
+        psi = psi_set(w, x)
+    e_small = equivariant_multiplicity(w, x)
     if side == "right":
-        wbig, xbig = w * s, x * s
-        extra = element_root_action(x, beta)
-        expected_psi = psi_set(w, x)
-        e_small = equivariant_multiplicity(w, x)
-        e_expected = e_small.divided_by_form(extra)
+        extra = element_root_action(x, BETA[i])
+        expected_psi = psi
     else:
-        wbig, xbig = s * w, s * x
-        extra = beta
-        expected_psi = {
-            element_root_action(s, r) for r in psi_set(w, x)
-        }
-        e_small = equivariant_multiplicity(w, x).substituted(
-            [simple_root_action(i, b) for b in BETA]
-        )
-        e_expected = e_small.divided_by_form(extra)
+        extra = BETA[i]
+        expected_psi = {simple_root_action(i, r) for r in psi}  # s(r)
+        e_small = e_small.substituted([simple_root_action(i, b) for b in BETA])
+    e_expected = e_small.divided_by_form(extra)
     assert length(xbig) > length(x) and leq(xbig, wbig), "Maximum Principle"
     if extra in expected_psi:
         return False

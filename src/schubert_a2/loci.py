@@ -54,8 +54,7 @@ def smooth_points(w):
     is the interval minus the down-closure of the maximal singular points.
     """
     if is_spiral(w):
-        members = interval(w)
-        return members - down_closure(members, maximal_singular(w))
+        return _spiral_smooth_points(w, maximal_singular(w))
     hx = hull_of(w)
     out = set()
     if type_of(w) == 1:
@@ -72,6 +71,12 @@ def smooth_points(w):
                 out.add(z)
                 out.add(z * s)
     return out
+
+
+def _spiral_smooth_points(w, max_sing):
+    """The smooth points of a spiral w, given its maximal singular points."""
+    members = interval(w)
+    return members - down_closure(members, max_sing)
 
 
 def _attached_edges(w):
@@ -273,12 +278,16 @@ class LocusReport(NamedTuple):
 def locus_report(w):
     """Every x <= w with its q, shell and locus memberships, and a summary.
     The q table and the nrs set are built once, also for a spiral owner,
-    whose maximal nrs points and codimensions read the same set."""
+    whose maximal nrs points and codimensions read the same set, and whose
+    smooth points are read off the maximal singular points computed here."""
     tab, nrs_members = q_table_and_nrs(w)
     words = format_words(tab.entries)
-    smooth = smooth_points(w)
     max_nrs = maximal_nrs(w)
     max_sing = maximal_singular(w)
+    if is_spiral(w):
+        smooth = _spiral_smooth_points(w, max_sing)
+    else:
+        smooth = smooth_points(w)
     h = hull_of(w)
     records = []
     for x in sorted(words, key=lambda x: (length(x), words[x])):

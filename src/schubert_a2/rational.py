@@ -10,13 +10,16 @@ unique; equality is nevertheless decided by exact cross-multiplication.
 
 All arithmetic is on integers.  Real roots are primitive forms, so by
 Gauss's lemma an exact quotient by one is integral, and long division
-(p_div_form) can stop at the first leading coefficient the pivot
+(_long_division) can stop at the first leading coefficient the pivot
 coefficient does not divide.  What a division needs of its form (pivot,
 shifts, the other terms) is a plan, built once per form.  The plan also
 holds an integer point of the form's hyperplane; a polynomial that does
 not vanish there is not divisible by the form, which settles most failing
-trial divisions exactly, with no division run.  Keeping values cancelled
-is cheap because a cancelled numerator limits what can cancel next:
+trial divisions exactly, with no division run.  Every trial division is
+still made, and all of them, p_div_form's and the pair step's included,
+are _cancel's: it evaluates that certificate inline and runs
+_long_division only where the value is 0.  Keeping values cancelled is
+cheap because a cancelled numerator limits what can cancel next:
   * a form that does not divide a polynomial does not divide any quotient of
     it, so one pass over the distinct forms cancels a fraction completely;
   * dividing a cancelled value by a form needs one trial division, by that
@@ -81,18 +84,17 @@ def form_poly(form):
 
 
 def p_mul_form(a, form):
+    # the form's terms as (exponent shift, coefficient), built once per call
+    terms = [(i == 0, i == 1, i == 2, k) for i, k in enumerate(form) if k]
     out = {}
-    for e, c in a.items():
-        for i, k in enumerate(form):
-            if k:
-                e2 = list(e)
-                e2[i] += 1
-                e2 = tuple(e2)
-                s = out.get(e2, 0) + c * k
-                if s:
-                    out[e2] = s
-                else:
-                    out.pop(e2, None)
+    for (e0, e1, e2), c in a.items():
+        for d0, d1, d2, k in terms:
+            e = (e0 + d0, e1 + d1, e2 + d2)
+            s = out.get(e, 0) + c * k
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
     return out
 
 
@@ -127,23 +129,21 @@ def _division_plan(form):
 
 
 def p_div_form(a, form):
-    """Exact quotient a / form, or None when the form does not divide a.
-
-    If the form divides a, a vanishes on the form's hyperplane; so a value
-    a(P) != 0 at the plan's point P proves it does not, with no division.
-    Otherwise: long division in the pivot variable, integers only.  Real
-    roots are primitive forms, so by Gauss's lemma a quotient that exists is
-    integral: the first leading coefficient the pivot coefficient does not
-    divide proves the form does not divide a.
-    """
+    """Exact quotient a / form, or None when the form does not divide a:
+    one trial of _cancel."""
     if not a:
         return {}
-    pivot, cp, (q0, q1, q2), rest, (x, y, z) = _division_plan(form)
-    value = 0
-    for (e0, e1, e2), c in a.items():
-        value += c * x**e0 * y**e1 * z**e2
-    if value:
-        return None
+    q, left = _cancel(a, (form,), (form,))
+    return None if left else q
+
+
+def _long_division(a, plan):
+    """Long division of a nonzero a by the plan's form in the pivot
+    variable, integers only.  Real roots are primitive forms, so by Gauss's
+    lemma a quotient that exists is integral: the first leading coefficient
+    the pivot coefficient does not divide proves the form does not divide
+    a, and so does a nonzero remainder."""
+    pivot, cp, (q0, q1, q2), rest, _ = plan
     # terms by degree in the pivot: dividing out degree m only touches m - 1
     layers = {}
     for e, c in a.items():
@@ -242,6 +242,29 @@ class RationalNF:
             return RationalNF.zero()
         return RationalNF(*_cancel(num, den, shared), normalize=False)
 
+    def sum_divided_by_form(self, other, form):
+        """((self + other).divided_by_form(form), its negative), with other
+        None for zero, in one step with one numerator negation: the pair
+        step of kumar's forward pass.  The sum is cancelled as in __add__,
+        and then only the form can divide it.  The form's sign says which
+        of the quotient and its negative comes first."""
+        root, sign = _positive_form(form)
+        if other is None:
+            num, den = self.num, self.den
+        else:
+            den, a, b, shared = _over_common_den(self, other)
+            num = p_add(a, b)
+            if num:
+                num, den = _cancel(num, den, shared)
+            else:
+                den = ()
+        if num:
+            # one trial: a root already in den does not divide num
+            num, den = _cancel(num, sorted(den + (root,)), (root,))
+        pos = RationalNF(num, den, normalize=False)
+        neg = RationalNF(p_neg(num), den, normalize=False)
+        return (pos, neg) if sign == 1 else (neg, pos)
+
     def __sub__(self, other):
         return self + (-other)
 
@@ -305,10 +328,14 @@ class RationalNF:
         return RationalNF(num, tuple(sorted(den)), normalize=False)
 
     def __str__(self):
+        num = self.num
+        if len(num) == 1 and ZERO_EXP in num:
+            text = str(num[ZERO_EXP])
+        else:
+            text = p_str(num)
         if not self.den:
-            return p_str(self.num)
-        dens = "".join(map(_form_str, sorted(self.den)))
-        return "(%s) / %s" % (p_str(self.num), dens)
+            return text
+        return "(%s) / %s" % (text, "".join(map(_form_str, self.den)))
 
     __repr__ = __str__
 
@@ -357,14 +384,24 @@ def _over_common_den(x, y):
 
 
 def _cancel(num, den, forms):
-    """Divide num by each of the distinct forms while it divides, each at
-    most as often as the sorted den carries it; return the quotient and
-    what is left of den.  One pass suffices: a form that does not divide
-    num does not divide a quotient of num either."""
+    """Divide a nonzero num by each of the distinct forms while it divides,
+    each at most as often as the sorted den carries it; return the quotient
+    and what is left of den.  One pass suffices: a form that does not divide
+    num does not divide a quotient of num either.
+
+    If a form divides num, num vanishes on the form's hyperplane; so a value
+    num(P) != 0 at the plan's point P proves it does not.  Each trial
+    evaluates that certificate inline and runs _long_division only where
+    the value is 0."""
     den = list(den)
     for f in forms:
         while f in den:
-            q = p_div_form(num, f)
+            plan = _division_plan(f)
+            x, y, z = plan[4]
+            value = 0
+            for (e0, e1, e2), c in num.items():
+                value += c * x**e0 * y**e1 * z**e2
+            q = None if value else _long_division(num, plan)
             if q is None:
                 break
             num = q

@@ -37,11 +37,11 @@ from .alcove import (
 from .bruhat import hexagon, interval, leq, oracle_interval
 from .kumar import (
     SetupHypothesisError,
+    _setup_move_check,
     kumar_smooth_set,
     multiplicity_table_of,
     multiplicity_tables,
     psi_set,
-    setup_move_check,
 )
 from .loci import (
     attached_edge_lengths,
@@ -184,19 +184,21 @@ def _factorizations(bound):
     return ["factorizations %s" % (word or "e") for word, _ in _owners(bound) if word in bad]
 
 
-def _setup_move_holds(w, x, i, side):
+def _setup_move_holds(w, x, i, side, psi):
     try:
-        return setup_move_check(w, x, i, side)
+        return _setup_move_check(w, x, i, side, psi)
     except SetupHypothesisError:
         return True
 
 
 def _setup(word):
+    # Psi(w, x) is built once per member, for its six Setup Moves and |Psi|
     w = parse_word(word)
     members = interval(w)
+    psi = {x: psi_set(w, x) for x in members}
     bad = []
     if not all(
-        _setup_move_holds(w, x, i, side)
+        _setup_move_holds(w, x, i, side, psi[x])
         for x in members
         for i in (0, 1, 2)
         for side in ("right", "left")
@@ -206,13 +208,12 @@ def _setup(word):
     # invariant along x -> xu for u in R(w).
     smooth = kumar_smooth_set(w)
     tab = q_table(w)
-    psi_size = {x: len(psi_set(w, x)) for x in members}
     rw = descent_group(w)
     if not all(
         leq(xu, w)
         and tab.q(xu) == tab.q(x)
         and (xu in smooth) == (x in smooth)
-        and psi_size[xu] == psi_size[x]
+        and len(psi[xu]) == len(psi[x])
         for x in members
         for xu in (x * u for u in rw)
     ):

@@ -5,12 +5,15 @@ import random
 
 import pytest
 
+from schubert_a2 import rational
 from schubert_a2.alcove import (
     E,
+    AffineElement,
     S0,
     S1,
     S2,
     SIMPLES,
+    display_word,
     element_to_word,
     format_word,
     is_spiral,
@@ -24,6 +27,7 @@ from schubert_a2.kumar import (
     BETA,
     NotRealRootError,
     SetupHypothesisError,
+    _extend,
     _level_root,
     element_root_action,
     equivariant_multiplicity,
@@ -140,6 +144,29 @@ def test_psi_counts_to_length_10():
             assert len(psis) == q_brute(w, x) + lw
 
 
+def test_psi_set_raises_exactly_off_the_interval():
+    """psi_set reads the hull once and asks require_below only when x's
+    center is outside it: it raises NotComparableError, with
+    require_below's message, exactly when leq(x, w) is false, for every
+    l(w) <= 10 and l(x) <= l(w) + 1."""
+    candidates = sorted(elements_of_length_at_most(11), key=length)
+    pairs = raised = 0
+    for w in elements_of_length_at_most(10):
+        for x in candidates:
+            if length(x) > length(w) + 1:
+                break
+            try:
+                psi_set(w, x)
+            except NotComparableError as exc:
+                assert not leq(x, w)
+                assert str(exc) == "%s is not below %s" % (display_word(x), display_word(w))
+                raised += 1
+            else:
+                assert leq(x, w)
+            pairs += 1
+    assert (pairs, raised) == (19474, 19474 - 7831)
+
+
 def test_psi_by_chord_arithmetic_matches_the_partner_walk():
     """psi_set equals the reference built from reflection partners and
     root_to_reflection, on every x <= w with l(w) <= 12."""
@@ -199,6 +226,74 @@ def test_pair_step_matches_the_two_branch_reference():
         for word, table in multiplicity_tables(list(factorization_refs))
     ]
     assert walked == sorted(factorization_refs.items())
+
+
+def test_forward_pass_negates_once_per_pair_and_multiplies_nothing(monkeypatch):
+    """One letter of the forward pass costs each pair {z, z * s_i} one
+    numerator negation, and z * s_i comes from the step table: over the
+    word of w16 the pass calls p_neg once per pair and never
+    AffineElement.__mul__, and its table is the two-branch reference's."""
+    counts = {"p_neg": 0, "mul": 0}
+    p_neg, mul = rational.p_neg, AffineElement.__mul__
+
+    def counting_neg(p):
+        counts["p_neg"] += 1
+        return p_neg(p)
+
+    def counting_mul(a, b):
+        counts["mul"] += 1
+        return mul(a, b)
+
+    word = [int(c) for c in "0120120120120102"]
+    multiplicity_table(word)  # warms _action_matrix, which is not counted
+    monkeypatch.setattr(rational, "p_neg", counting_neg)
+    monkeypatch.setattr(AffineElement, "__mul__", counting_mul)
+    table = {E: RationalNF.integer(1)}
+    pairs = 0
+    for i in word:
+        table = _extend(table, i)
+        pairs += len(table) // 2
+    monkeypatch.undo()
+    assert counts == {"p_neg": pairs, "mul": 0}
+    assert pairs == 603
+    assert _printed(table) == _printed(walk.multiplicity_table(word))
+
+
+def test_setup_moves_build_each_product_once(monkeypatch):
+    """A Setup Move builds ws and xs once each, and xs only once w < ws
+    holds; the clauses keep their order and messages."""
+    count = [0]
+    mul = AffineElement.__mul__
+
+    def counting_mul(a, b):
+        count[0] += 1
+        return mul(a, b)
+
+    w = parse_word("0121")
+    cases = [
+        (parse_word("010"), 0, "right", "x <= w"),
+        (E, 1, "right", "w < ws"),
+        (E, 0, "right", "xs not<= w"),
+        (E, 0, "left", "w < sw"),
+        (E, 1, "left", "sx not<= w"),
+        (parse_word("01"), 0, "right", None),
+        (parse_word("0"), 1, "left", None),
+    ]
+    for x, i, side, _ in cases:  # warms the memos the moves read
+        try:
+            setup_move_check(w, x, i, side)
+        except SetupHypothesisError:
+            pass
+    monkeypatch.setattr(AffineElement, "__mul__", counting_mul)
+    for x, i, side, clause in cases:
+        count[0] = 0
+        try:
+            assert setup_move_check(w, x, i, side)
+            failed = None
+        except SetupHypothesisError as exc:
+            failed = str(exc)
+        assert failed == (clause and clause + " fails"), (format_word(x), i, side)
+        assert count[0] == {"x <= w": 0, "w < ws": 1, "w < sw": 1}.get(clause, 2)
 
 
 def test_multiplicity_tables_are_pinned():

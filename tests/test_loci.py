@@ -19,7 +19,7 @@ from schubert_a2.alcove import (
     type_of,
     word_to_element,
 )
-from schubert_a2 import qstat
+from schubert_a2 import loci, qstat
 from schubert_a2.bruhat import hexagon, hull_of, interval, leq
 from schubert_a2.kumar import kumar_smooth_set, multiplicity_table_of
 from schubert_a2.loci import (
@@ -319,6 +319,24 @@ def test_spiral_locus_report_builds_no_multiplicity_table():
     multiplicity_table_of.cache_clear()
     locus_report(w)
     assert multiplicity_table_of.cache_info().misses == 0
+
+
+def test_spiral_locus_report_computes_its_maximal_singular_points_once(monkeypatch):
+    """The report's smooth points are read off the maximal singular points
+    it computes for its flags: one word-deletion closed form per report."""
+    calls = []
+    closed_form = loci._spiral_maximal_singular
+
+    def counting(w):
+        calls.append(w)
+        return closed_form(w)
+
+    monkeypatch.setattr(loci, "_spiral_maximal_singular", counting)
+    w = parse_word("2102102102102")
+    assert is_spiral(w)
+    report = locus_report(w)
+    assert calls == [w]
+    assert {parse_word(r["x"]) for r in report.records if r["smooth"]} == smooth_points(w)
 
 
 def test_memoized_loci_are_frozensets():

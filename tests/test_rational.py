@@ -15,7 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schubert_a2.kumar import BETA, is_positive_real_root, simple_root_action
-from schubert_a2.rational import RationalNF, _division_plan, form_poly, p_div_form, p_mul
+from schubert_a2.rational import (
+    RationalNF,
+    _cancel,
+    _division_plan,
+    form_poly,
+    p_const,
+    p_div_form,
+    p_mul,
+)
 
 # alpha + n*delta for the finite roots alpha = b1, b2, b1 + b2
 ROOTS = [
@@ -156,6 +164,49 @@ def test_a_polynomial_vanishing_at_the_point_still_goes_through_division():
         a = p_mul(form_poly(g), {(1, 0, 0): 1, (0, 0, 2): 3})
         assert evaluate(a, point) == 0
         assert p_div_form(a, f) is None, (f, g)
+
+
+def test_cancel_keeps_a_form_whose_point_is_a_false_alarm():
+    # 2*b0 + b2 vanishes at (-1, 1, 2), the plan point of b0 + b1, which
+    # does not divide it: the long division runs and the form stays
+    f = (1, 1, 0)
+    g = form_poly((2, 0, 1))
+    assert evaluate(g, _division_plan(f)[4]) == 0
+    assert _cancel(g, (f,), {f}) == (g, (f,))
+    assert _cancel(p_mul(g, form_poly(f)), (f, f), {f}) == (g, (f,))
+    # the pair step's own trial division keeps the form too
+    for form, sign in ((f, 1), ((-1, -1, 0), -1)):
+        first, second = RationalNF(g).sum_divided_by_form(None, form)
+        assert first.den == second.den == (f,)
+        assert first.num == {e: sign * c for e, c in g.items()}
+        assert second.num == {e: -sign * c for e, c in g.items()}
+
+
+def _same(u, v):
+    return (u.num, u.den) == (v.num, v.den)
+
+
+@settings(deadline=None, max_examples=60)
+@given(rationals(), rationals(), forms)
+def test_pair_step_is_add_then_divide(x, y, f):
+    """sum_divided_by_form gives (x + y).divided_by_form(form) and its
+    negative, in the same normal form, for a positive and a negative form,
+    with y absent (None) and with y = -x."""
+    for form in (f, tuple(-c for c in f)):
+        for other, total in ((y, x + y), (None, x), (-x, RationalNF.zero())):
+            expected = total.divided_by_form(form)
+            first, second = x.sum_divided_by_form(other, form)
+            assert _same(first, expected) and _same(second, -expected)
+            assert_cancelled(first)
+
+
+def test_printing_constant_numerators():
+    assert str(RationalNF.integer(-3)) == "-3"
+    assert str(RationalNF.zero()) == "0"
+    assert str(RationalNF(p_const(2), ((1, 1, 0), (0, 1, 0)))) == "(2) / (b1)(b0 + b1)"
+    repeated = RationalNF(p_const(-1), ((0, 1, 0), (0, 1, 0), (0, 1, 1)), normalize=False)
+    assert str(repeated) == "(-1) / (b1)(b1)(b1 + b2)"
+    assert str(RationalNF({(1, 0, 0): 2, (0, 0, 0): -1}, ((0, 1, 0),))) == "(2*b0 - 1) / (b1)"
 
 
 @settings(deadline=None, max_examples=40)

@@ -78,3 +78,37 @@ def test_factorization_failure_names_its_owner(monkeypatch):
     result = run_criterion("kumar", 6)
     assert not result.passed and result.bound == 6
     assert result.detail == "1 failed in 64 checks (l <= 6): factorizations 0102"
+
+
+def test_setup_row_builds_psi_once_per_member(monkeypatch):
+    """The setup row asks psi_set once per member of the owner's interval,
+    for its six Setup Moves and its Simple Move |Psi| checks together; the
+    other calls are the Psi(ws, xs) of the moves whose hypotheses hold."""
+    from schubert_a2 import kumar
+    from schubert_a2.bruhat import interval
+
+    asked = []
+    psi_set = kumar.psi_set
+
+    def counting(w, x):
+        asked.append((w, x))
+        return psi_set(w, x)
+
+    word = "0121012"
+    w = parse_word(word)
+    kumar.kumar_smooth_set(w)  # memoized; its smoothness targets are not counted
+    monkeypatch.setattr(kumar, "psi_set", counting)
+    monkeypatch.setattr(verify, "psi_set", counting)
+    assert verify._setup(word) == []
+    own = [x for v, x in asked if v == w]
+    assert sorted(own) == sorted(interval(w))
+    held = 0
+    for x in interval(w):
+        for i in (0, 1, 2):
+            for side in ("right", "left"):
+                try:
+                    kumar._setup_hypotheses(w, x, kumar.SIMPLES[i], side)
+                except kumar.SetupHypothesisError:
+                    continue
+                held += 1
+    assert held > 0 and len(asked) == len(own) + held
