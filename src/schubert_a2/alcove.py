@@ -562,6 +562,15 @@ def spiral_element(pattern, n):
     return word_to_element([cycle[m % 3] for m in range(n)])
 
 
+def word_deletions(w, deleted):
+    """{del(P) for P in deleted}: with a_0 ... a_{n-1} = element_to_word(w),
+    del(P) is the product of the letters at the positions not in P.  A
+    spiral element has one reduced word, so for it del(P) names one
+    subword of that word."""
+    word = element_to_word(w)
+    return {word_to_element([a for k, a in enumerate(word) if k not in p]) for p in deleted}
+
+
 def spiral_factorizations(w):
     """The two factorizations w = u*v with u, v spiral and lengths adding.
 

@@ -51,6 +51,7 @@ from .alcove import (
     display_word,
     element_from_center,
     element_to_word,
+    format_word,
     half_strip_pattern,
     is_spiral,
     length,
@@ -369,8 +370,6 @@ def special_segments(hexagon_):
 
 def hexagon_to_dict(hexagon_):
     """JSON form: owner and vertices in word syntax, hyperplanes as pairs."""
-    from .alcove import format_word
-
     return {
         "owner": format_word(hexagon_.owner),
         "hyperplanes": [

@@ -21,13 +21,12 @@ from .alcove import (
     descent_group,
     descents,
     element_from_center,
-    element_to_word,
     format_word,
     format_words,
     is_spiral,
     length,
     type_of,
-    word_to_element,
+    word_deletions,
 )
 from .bruhat import centers_between, hull_of, interval, leq, shell_index
 from .qstat import (
@@ -35,7 +34,7 @@ from .qstat import (
     is_rationally_smooth,
     maximal_nrs,
     nrs_codimension,
-    q_table_and_nrs,
+    q_table,
 )
 
 
@@ -121,17 +120,14 @@ def _spiral_maximal_singular(w):
     Bruhat-maximal points outside the multiplicity test's smooth set for
     every spiral owner with n <= 24.
     """
-    word = element_to_word(w)
-    n = len(word)
+    n = length(w)
     if n == 4:
         deleted = ({0, 1, 2},)
     elif n == 5:
         deleted = ({0, 2},)
     else:
         deleted = ({0, 2}, {1, 3}) + (({0, 1, n - 2},) if n % 2 == 0 else ())
-    return {
-        word_to_element([a for k, a in enumerate(word) if k not in p]) for p in deleted
-    }
+    return word_deletions(w, deleted)
 
 
 def maximal_singular(w):
@@ -277,10 +273,11 @@ class LocusReport(NamedTuple):
 
 def locus_report(w):
     """Every x <= w with its q, shell and locus memberships, and a summary.
-    The q table and the nrs set are built once, also for a spiral owner,
-    whose maximal nrs points and codimensions read the same set, and whose
+    The q table is built once and gives the nrs set; a spiral owner's nrs
+    set is the down-closure of its closed-form maximal nrs points, and its
     smooth points are read off the maximal singular points computed here."""
-    tab, nrs_members = q_table_and_nrs(w)
+    tab = q_table(w)
+    nrs_members = tab.nrs()
     words = format_words(tab.entries)
     max_nrs = maximal_nrs(w)
     max_sing = maximal_singular(w)

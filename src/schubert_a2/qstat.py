@@ -13,8 +13,10 @@ l(w).  Two independent routes are implemented:
   its base case.  Each step narrows the hull by three shells.
 
 For a non-spiral w the point x is non-rationally-smooth (nrs) in the
-Schubert variety of w exactly when q(w, x) > 0; for spiral w the nrs set
-is the down-closure of the q > 0 points.  Both are read from one q_table.
+Schubert variety of w exactly when q(w, x) > 0, read from one q_table.
+For spiral w the nrs set is the down-closure of the q > 0 points; their
+maximal elements are one or two deletions from the one reduced word of w
+(maximal_nrs), and the nrs set is the down-closure of those.
 lookup_holds checks that one reflection step up from x finds that set: a
 partner lies above x exactly when its reflecting line does not separate x
 from the fundamental alcove, so it is decided by arithmetic on the chords.
@@ -26,7 +28,6 @@ import functools
 from typing import NamedTuple
 
 from .alcove import (
-    E,
     POSITIVE_ROOTS,
     SIMPLES,
     SpiralInputError,
@@ -45,6 +46,7 @@ from .alcove import (
     pairing,
     translate_out_of_chamber,
     type_of,
+    word_deletions,
 )
 from .bruhat import (
     chords,
@@ -259,11 +261,11 @@ class QTable(NamedTuple):
         return self.entries[x][0]
 
     def nrs(self):
-        """The nrs points: q > 0, closed downward for a spiral owner."""
-        positive = [x for x, (q, _) in self.entries.items() if q > 0]
-        if not is_spiral(self.owner):
-            return set(positive)
-        return down_closure(self.entries, positive)
+        """The nrs points: q > 0 off the strips; for a spiral owner the
+        members below its maximal nrs points."""
+        if is_spiral(self.owner):
+            return down_closure(self.entries, maximal_nrs(self.owner))
+        return {x for x, (q, _) in self.entries.items() if q > 0}
 
     def to_dict(self):
         words = format_words(self.entries)
@@ -309,29 +311,10 @@ def down_closure(members, tops):
     return {x for x in members if any(h.contains(x) for h in hulls)}
 
 
-@functools.lru_cache(maxsize=1)
-def _spiral_q_table(w):
-    """q_table(w) of a spiral owner, the last one kept.  A spiral's nrs set
-    is the down-closure of its q > 0 points, so it needs the whole table,
-    and q_table_and_nrs hands that same table to its caller."""
-    return q_table(w)
-
-
 @functools.cache
 def nrs_set(w):
     """All x <= w that are nrs in the Schubert variety of w, as a frozenset."""
-    tab = _spiral_q_table(w) if is_spiral(w) else q_table(w)
-    return frozenset(tab.nrs())
-
-
-def q_table_and_nrs(w):
-    """(q_table(w), the nrs set), both from one table: for a spiral owner
-    the kept table and nrs_set(w), so that maximal_nrs(w) finds the set
-    built; otherwise a new table and its q > 0 points."""
-    if is_spiral(w):
-        return _spiral_q_table(w), nrs_set(w)
-    tab = q_table(w)
-    return tab, tab.nrs()
+    return frozenset(q_table(w).nrs())
 
 
 def bruhat_maximal(elements):
@@ -360,10 +343,6 @@ def is_rationally_smooth(w):
     return is_twisted_spiral(w)
 
 
-def maximal_nrs_generic(w):
-    return bruhat_maximal(nrs_set(w))
-
-
 def _z_pair(w):
     """wstu and wsut for the unique right descent s and ascents t < u."""
     s = SIMPLES[next(iter(descents(w)))]
@@ -388,18 +367,30 @@ def _reflect_across_other_wall(w, hx, z2):
     return other.element() * z2
 
 
+def _spiral_maximal_nrs(w):
+    """The maximal nrs points of a spiral w: none for n = l(w) <= 3, else
+    del{0,1,2}, the right factor a_3 ... a_{n-1} of the one reduced word
+    a_0 ... a_{n-1}, and del{0,1,n-2} too when n >= 6 is even (del(P) as in
+    alcove.word_deletions).  It agrees with the maximal q > 0 points for
+    every spiral owner with n <= 24."""
+    n = length(w)
+    if n <= 3:
+        return frozenset()
+    deleted = ({0, 1, 2},) + (({0, 1, n - 2},) if n >= 6 and n % 2 == 0 else ())
+    return frozenset(word_deletions(w, deleted))
+
+
 @functools.cache
 def maximal_nrs(w):
     """The Bruhat-maximal nrs points below w, as a frozenset.
 
     Closed form for non-spiral w of length at least 6 (the four cases by
     chamber parity and type, with base-case adjustments), the length-5
-    exception for odd chambers, and the generic scan for spiral w.
+    exception for odd chambers, and one or two word deletions for spiral w
+    (_spiral_maximal_nrs).
     """
-    if w == E:
-        return frozenset()
-    if is_spiral(w):
-        return frozenset(maximal_nrs_generic(w))
+    if is_spiral(w):  # the identity included
+        return _spiral_maximal_nrs(w)
     if is_rationally_smooth(w):
         return frozenset()
     n = length(w)

@@ -14,7 +14,14 @@ import math
 import os
 from typing import NamedTuple
 
-from .alcove import POSITIVE_ROOTS, display_word, is_spiral, orientation
+from .alcove import (
+    POSITIVE_ROOTS,
+    display_word,
+    element_from_center,
+    is_spiral,
+    orientation,
+    parse_word,
+)
 from .bruhat import Hexagon, diagonal_centers, hull_of, line_meet, special_segments
 from .loci import LocusReport
 from .qstat import QTable
@@ -128,9 +135,7 @@ def _line(a, b, stroke, width=1.0, dash=None):
 
 
 def _payload_owner(payload):
-    if isinstance(payload, Hexagon):
-        return payload.owner
-    if isinstance(payload, (QTable, LocusReport)):
+    if isinstance(payload, (Hexagon, QTable, LocusReport)):
         return payload.owner
     raise TypeError("unsupported payload %r" % (payload,))
 
@@ -175,8 +180,6 @@ def render(spec, payload):
             fills[x.center()] = heat[min(q, len(heat) - 1)]
     if isinstance(payload, LocusReport):
         by_word = {r["x"]: r for r in payload.records}
-        from .alcove import parse_word
-
         for word, rec in by_word.items():
             c = parse_word(word).center()
             if "smooth" in layers and rec["smooth"]:
@@ -216,16 +219,15 @@ def render(spec, payload):
             k += 1
 
     if not is_spiral(owner) and ("special-segments" in layers or "diagonals" in layers):
-        hx = hull_of(owner)
         if "diagonals" in layers:
             for i in range(6):
-                pts = diagonal_centers(hx, i)
+                pts = diagonal_centers(hull, i)
                 if len(pts) >= 2:
                     body.append(
                         _line(_xy(pts[0]), _xy(pts[-1]), colors["diagonal"], 1.0, dash=True)
                     )
         if "special-segments" in layers:
-            for seg in special_segments(hx):
+            for seg in special_segments(hull):
                 if seg:
                     body.append(
                         _line(_xy(seg[0]), _xy(seg[-1]), colors["special"], 4.0)
@@ -237,15 +239,11 @@ def render(spec, payload):
             if spec.labels == "q-values":
                 if qmap is None:
                     break
-                from .alcove import element_from_center
-
                 x = element_from_center(c)
                 if x not in qmap:
                     continue
                 text = str(qmap[x][0])
             else:
-                from .alcove import element_from_center
-
                 text = display_word(element_from_center(c))
                 if len(text) > 6:
                     continue

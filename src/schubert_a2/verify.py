@@ -60,9 +60,7 @@ from .qstat import (
     is_rationally_smooth,
     lookup_holds,
     maximal_nrs,
-    maximal_nrs_generic,
     nrs_codimension,
-    nrs_set,
     q_brute,
     q_table,
 )
@@ -222,9 +220,11 @@ def _setup(word):
 
 
 def _rational_smoothness(word):
-    # rationally smooth exactly per the four-case closed form
+    # rationally smooth exactly per the four-case closed form, against the
+    # reflection count: no x <= w has q(w, x) > 0
     w = parse_word(word)
-    return [] if is_rationally_smooth(w) == (not nrs_set(w)) else ["rational-smoothness"]
+    smooth = not any(q_brute(w, x) > 0 for x in interval(w))
+    return [] if is_rationally_smooth(w) == smooth else ["rational-smoothness"]
 
 
 def _census(bound):
@@ -251,15 +251,18 @@ def _even_type1_untwisted(w):
 
 
 def _loci(word):
+    # The maximal nrs points, closed forms on and off the strips, against
+    # the maximal q > 0 points by the reflection count: the nrs set is the
+    # q > 0 set closed downward, so both have the same maximal points.
     w = parse_word(word)
     n = length(w)
     bad = []
+    if maximal_nrs(w) != bruhat_maximal(x for x in interval(w) if q_brute(w, x) > 0):
+        bad.append("maximal-nrs")
     if is_spiral(w):
         if n >= 4 and nrs_codimension(w) != 3:
             bad.append("spiral-nrs-codim")
     else:
-        if n >= 6 and maximal_nrs(w) != maximal_nrs_generic(w):
-            bad.append("maximal-nrs")
         c = nrs_codimension(w)
         if c is not None:
             expect = 4 if (chamber_parity(w) == "even" and type_of(w) == 1) else 3

@@ -288,9 +288,11 @@ def test_locus_report_evaluates_each_locus_once(word):
 
 def test_spiral_locus_report_builds_one_table(monkeypatch):
     """A spiral report builds its q table and its nrs down-closure once:
-    the maximal nrs points and both codimensions read the nrs set built.
-    (The smooth locus's closure of the maximal singular points is loci's
-    own call, which the qstat wrappers do not see.)"""
+    the maximal nrs points and both codimensions are word deletions, and
+    the table's nrs set closes them downward.  The table is counted where
+    the report reads it.  (The smooth locus's closure of the maximal
+    singular points is loci's own call, which the qstat wrappers do not
+    see.)"""
     calls = {"q_table": 0, "down_closure": 0}
 
     def counting(name):
@@ -304,7 +306,8 @@ def test_spiral_locus_report_builds_one_table(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(qstat, name, counting(name))
-    for memo in (qstat._spiral_q_table, nrs_set, maximal_nrs, kumar_smooth_set):
+    monkeypatch.setattr(loci, "q_table", qstat.q_table)
+    for memo in (nrs_set, maximal_nrs, kumar_smooth_set):
         memo.cache_clear()
     w = parse_word("2102102102102")
     assert is_spiral(w)

@@ -53,7 +53,6 @@ from schubert_a2.qstat import (
     is_rationally_smooth,
     lookup_holds,
     maximal_nrs,
-    maximal_nrs_generic,
     nrs,
     nrs_codimension,
     nrs_set,
@@ -221,10 +220,44 @@ def test_q_lower_bounds_inside():
 
 def test_maximal_nrs_against_generic():
     for w in ELEMENTS:
-        if is_spiral(w):
-            assert maximal_nrs(w) == maximal_nrs_generic(w)
-        else:
-            assert maximal_nrs(w) == maximal_nrs_generic(w), format_word(w)
+        assert maximal_nrs(w) == walk.maximal_nrs(w), format_word(w)
+
+
+def test_spiral_nrs_closed_form_to_24():
+    """Every spiral owner with l <= 24: the word-deletion maximal nrs points
+    are the maximal q_brute > 0 points, and the nrs set is their
+    down-closure."""
+    spirals = [w for w in elements_of_length_at_most(24) if is_spiral(w)]
+    assert len(spirals) == 142
+    for w in spirals:
+        tops = walk.maximal_nrs(w)
+        assert maximal_nrs(w) == tops, format_word(w)
+        below = {x for x in interval(w) if any(leq(x, y) for y in tops)}
+        assert nrs_set(w) == below, format_word(w)
+
+
+def test_spiral_maximal_nrs_reads_no_table(monkeypatch):
+    """A spiral owner's maximal nrs points are word deletions: neither a
+    q table nor a down-closure is built for them."""
+    calls = {"q_table": 0, "down_closure": 0}
+
+    def counting(name):
+        fn = getattr(qstat, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(qstat, name, counting(name))
+    maximal_nrs.cache_clear()
+    nrs_set.cache_clear()
+    for word in ("012012", "2102102102102", "12012012012012"):
+        w = parse_word(word)
+        assert is_spiral(w) and maximal_nrs(w)
+    assert calls == {"q_table": 0, "down_closure": 0}
 
 
 def test_maximal_nrs_even_type1():

@@ -20,6 +20,11 @@ with leq rather than through qstat.down_closure.
 reflection_partners lists the reflection partners of x from the chords, in
 the order of the stepping walk; q_brute counts them without listing.
 
+maximal_nrs is the reference for qstat.maximal_nrs's closed forms: the
+maximal points, pair by pair with leq, of the x <= w with q_brute(w, x) > 0.
+The nrs set is that q > 0 set closed downward, so it has the same maximal
+points.
+
 psi_set is the reference for kumar.psi_set's chord arithmetic: it builds
 every reflection partner's center, the Reflection carrying x there, and the
 root whose reflection that is, found through kumar.root_to_reflection.
@@ -56,7 +61,7 @@ from schubert_a2.kumar import (
     is_positive_real_root,
     root_to_reflection,
 )
-from schubert_a2.qstat import require_below
+from schubert_a2.qstat import q_brute, require_below
 from schubert_a2.rational import RationalNF
 
 # Change of the scaled coordinate pair for one center-to-center step along a
@@ -161,6 +166,12 @@ def lookup_holds(w):
         (x in truly_nrs) == (x in positive or not positive.isdisjoint(up[x]))
         for x in members
     )
+
+
+def maximal_nrs(w):
+    """The maximal x <= w with q_brute(w, x) > 0, compared pair by pair."""
+    positive = [x for x in interval(w) if q_brute(w, x) > 0]
+    return {x for x in positive if not any(y != x and leq(x, y) for y in positive)}
 
 
 def walk_between(p, q):
