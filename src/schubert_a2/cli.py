@@ -20,6 +20,7 @@ from .alcove import (
     parse_word,
 )
 from .bruhat import hexagon, hexagon_to_dict, leq, leq_oracle
+from .kumar import equivariant_multiplicity, kumar_smooth
 from .loci import enumerate_smooth_varieties, locus_report
 from .qstat import NotComparableError, q_table, q_value, require_below
 from .render import LAYERS, ConfigError, RenderSpec, render
@@ -166,8 +167,6 @@ def _cmd_classify(args):
 
 
 def _cmd_mult(args):
-    from .kumar import equivariant_multiplicity, kumar_smooth
-
     w = parse_word(args.w)
     x = parse_word(args.x)
     require_below(x, w)

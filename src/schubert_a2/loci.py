@@ -6,8 +6,10 @@ each hexagon vertex: the vertex's right-descent orbit for a type 1 owner
 vertex, its two adjacent edge alcoves, and their descent images.  A
 singular spiral owner has two or three maximal singular points, each its
 one reduced word with two or three letters deleted, and its smooth locus
-is the rest of the interval.  Everything here is cross-checked downstream
-against the multiplicity test.
+is the rest of the interval.  The singular codimension is read off the
+maximal singular points (qstat.codimension).  Everything here is
+cross-checked downstream against the multiplicity test, and the
+codimension against the attached-edge rule.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from .alcove import (
 )
 from .bruhat import centers_between, hull_of, interval, leq, shell_index
 from .qstat import (
+    codimension,
     down_closure,
     is_rationally_smooth,
     maximal_nrs,
-    nrs_codimension,
     q_table,
 )
 
@@ -149,15 +151,11 @@ def maximal_singular(w):
 
 
 def singular_codim(w):
-    """Codimension of the singular locus: None when smooth, 2 when an
-    attached edge holds at least six alcoves, else the nrs codimension."""
-    if classify_schubert(w) == "smooth":
-        return None
-    if max(attached_edge_lengths(w)) >= 6:
-        return 2
-    c = nrs_codimension(w)
-    assert c is not None
-    return c
+    """Codimension of the singular locus, read off the maximal singular
+    points, or None when smooth.  It is 2 exactly when an attached edge
+    holds at least six alcoves, and the nrs codimension otherwise; the
+    loci row of verify checks that rule."""
+    return codimension(w, maximal_singular(w))
 
 
 _DIM_BOUND_DROP = {(1, "even"): 6, (1, "odd"): 5, (2, "even"): 5, (2, "odd"): 4}
@@ -239,8 +237,8 @@ def short_edge_family():
     Non-spiral owners enter when both attached hexagon edges hold fewer
     than six alcoves; spiral owners enter up to length three, where their
     varieties are smooth.  (The six length-4 spiral hulls also have only
-    short edges, but their singular structure lives on the strip and is
-    handled by singular_codim directly, so the census stays with the
+    short edges, but their maximal singular points are word deletions on
+    the strip (_spiral_maximal_singular), so the census stays with the
     hexagon world.)
     """
     out = []
@@ -275,7 +273,8 @@ def locus_report(w):
     """Every x <= w with its q, shell and locus memberships, and a summary.
     The q table is built once and gives the nrs set; a spiral owner's nrs
     set is the down-closure of its closed-form maximal nrs points, and its
-    smooth points are read off the maximal singular points computed here."""
+    smooth points and both codimensions are read off the maximal points
+    computed here."""
     tab = q_table(w)
     nrs_members = tab.nrs()
     words = format_words(tab.entries)
@@ -304,8 +303,8 @@ def locus_report(w):
     assert count <= 36
     summary = {
         "classification": classify_schubert(w),
-        "nrs_codimension": nrs_codimension(w),
-        "singular_codimension": singular_codim(w),
+        "nrs_codimension": codimension(w, max_nrs),
+        "singular_codimension": codimension(w, max_sing),
         "smooth_point_count": count,
     }
     return LocusReport(w, records, summary)

@@ -280,13 +280,7 @@ class QTable(NamedTuple):
 
 def q_table(w):
     if is_spiral(w):
-        # q_brute over the interval, whose points need no require_below
-        h, n = hull_of(w), length(w)
-        entries = {}
-        for x in interval(w):
-            cx = x.center()
-            entries[x] = (_reflection_count(cx, chords(h, cx)) - n, "brute")
-        return QTable(w, entries)
+        return QTable(w, {x: (q_brute(w, x), "brute") for x in interval(w)})
     top = _Level(w)
     return QTable(w, {x: _q_walk(top, x) for x in interval(w)})
 
@@ -419,12 +413,17 @@ def maximal_nrs(w):
     return ps.union(pair)
 
 
-def nrs_codimension(w):
-    """Codimension of the nrs locus, or None when rationally smooth."""
-    points = maximal_nrs(w)
+def codimension(w, points):
+    """Codimension in the Schubert variety of w of the locus whose maximal
+    points are given, or None when there are none."""
     if not points:
         return None
-    return length(w) - max(length(z) for z in points)
+    return length(w) - max(map(length, points))
+
+
+def nrs_codimension(w):
+    """Codimension of the nrs locus, or None when rationally smooth."""
+    return codimension(w, maximal_nrs(w))
 
 
 def _up_centers(cx, spans):

@@ -40,9 +40,6 @@ ZERO_EXP = (0, 0, 0)
 def p_const(c):
     return {ZERO_EXP: c} if c else {}
 
-def p_is_zero(p):
-    return not p
-
 
 def p_add(a, b):
     out = dict(a)
@@ -245,19 +242,12 @@ class RationalNF:
     def sum_divided_by_form(self, other, form):
         """((self + other).divided_by_form(form), its negative), with other
         None for zero, in one step with one numerator negation: the pair
-        step of kumar's forward pass.  The sum is cancelled as in __add__,
-        and then only the form can divide it.  The form's sign says which
-        of the quotient and its negative comes first."""
+        step of kumar's forward pass.  The sum is __add__'s, so it is
+        cancelled, and then only the form can divide it.  The form's sign
+        says which of the quotient and its negative comes first."""
         root, sign = _positive_form(form)
-        if other is None:
-            num, den = self.num, self.den
-        else:
-            den, a, b, shared = _over_common_den(self, other)
-            num = p_add(a, b)
-            if num:
-                num, den = _cancel(num, den, shared)
-            else:
-                den = ()
+        total = self if other is None else self + other
+        num, den = total.num, total.den
         if num:
             # one trial: a root already in den does not divide num
             num, den = _cancel(num, sorted(den + (root,)), (root,))
@@ -410,6 +400,6 @@ def _cancel(num, den, forms):
 
 
 def _normalize(num, den):
-    if p_is_zero(num):
+    if not num:
         return {}, ()
     return _cancel(num, sorted(den), set(den))

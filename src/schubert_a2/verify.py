@@ -268,8 +268,11 @@ def _loci(word):
             expect = 4 if (chamber_parity(w) == "even" and type_of(w) == 1) else 3
             if n >= 6 and c != expect:
                 bad.append("nrs-codim")
-            if max(attached_edge_lengths(w)) >= 6 and singular_codim(w) != 2:
-                bad.append("singular-codim")
+    # the edge rule against the codimension read off the maximal singular points
+    if classify_schubert(w) != "smooth":
+        expect = 2 if max(attached_edge_lengths(w)) >= 6 else nrs_codimension(w)
+        if singular_codim(w) != expect:
+            bad.append("singular-codim")
     # spiral owners included: their smooth loci are the word-deletion closed form
     pts = smooth_points(w)
     if len(pts) > 36:

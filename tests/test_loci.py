@@ -144,7 +144,10 @@ def test_bruhat_maximal_matches_pairwise_leq(monkeypatch):
 
 
 def test_singular_codim():
-    for w in ELEMENTS:
+    """The codimension read off the maximal singular points follows the
+    edge rule for every owner with l <= 14, and the report's summary gives
+    the same two codimensions."""
+    for w in sorted(elements_of_length_at_most(14), key=_by_length):
         c = singular_codim(w)
         if classify_schubert(w) == "smooth":
             assert c is None
@@ -152,6 +155,9 @@ def test_singular_codim():
             assert c == 2
         else:
             assert c == nrs_codimension(w) and c in (3, 4)
+        summary = locus_report(w).summary
+        assert summary["nrs_codimension"] == nrs_codimension(w)
+        assert summary["singular_codimension"] == c
     # twisted spirals of length >= 7: rationally smooth yet singular, codim 2
     for w in sorted(elements_of_length_at_most(9), key=length):
         if is_twisted_spiral(w) and length(w) >= 7:
