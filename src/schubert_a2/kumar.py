@@ -16,6 +16,14 @@ same sum with opposite signs, so a pair costs one addition (when both are
 present), one division by a linear form and one negation, and the partner
 z * s_i comes from a step table per finite part and letter, not from a
 group product.
+
+multiplicity_table_of(w) memoizes the table of element_to_word(w), one
+letter past the table of its prefix.  multiplicity_table(word) starts from
+the memoized table of the word's longest canonical prefix and extends only
+the rest, so its result may be the memo's own dict and is read-only.  The
+oracles the memo is checked against read none of it: multiplicity_tables,
+the prefix-trie walk, and equivariant_multiplicity given a word are fresh
+passes from the identity.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .alcove import (
     SIMPLES,
     AffineElement,
     Reflection,
+    descents,
     element_to_word,
     length,
     word_to_element,
@@ -215,16 +224,31 @@ def multiplicity_table(word):
     A forward pass over the word keeps, for each partial subexpression
     product z, the sum of its reciprocal form products signed by the parity
     of the letters read so far; after the whole word that is the table.
+    The pass starts from the memoized table of the word's longest prefix
+    that is element_to_word of its own product: word[:k + 1] is one exactly
+    when word[:k] is and word[k] is the smallest right descent of its
+    product.  Only the letters after that prefix are extended, so a
+    canonical word's table is the memo's own dict, and a returned table
+    must not be mutated.
     """
-    ((_, table),) = multiplicity_tables([word])
+    _check_reduced(word)
+    z, k = E, 0
+    for i in word:
+        zs = z * SIMPLES[i]
+        if min(descents(zs)) != i:
+            break
+        z, k = zs, k + 1
+    table = multiplicity_table_of(z)
+    for i in word[k:]:
+        table = _extend(table, i)
     return table
 
 
 @functools.cache
 def multiplicity_table_of(w):
-    """multiplicity_table(element_to_word(w)), one letter past the memoized
-    table of w * s_i for the word's last letter i: element_to_word(w) is
-    element_to_word(w * s_i) followed by i."""
+    """The multiplicity table of element_to_word(w), one letter past the
+    memoized table of w * s_i for the word's last letter i:
+    element_to_word(w) is element_to_word(w * s_i) followed by i."""
     if w == E:
         return {E: RationalNF.integer(1)}
     i = element_to_word(w)[-1]
@@ -233,23 +257,26 @@ def multiplicity_table_of(w):
 
 def equivariant_multiplicity(w, x, word=None):
     """The multiplicity of x in the Schubert variety of w; zero when x is
-    not below w.  The word, when given, must be reduced and evaluate to w."""
+    not below w.  The word, when given, must be reduced and evaluate to w;
+    the sum is then a fresh pass over it, which reads no memo, so that it
+    is a second route to the memoized value."""
     if word is None:
         tab = multiplicity_table_of(w)
     else:
         if word_to_element(word) != w:
             raise ValueError("word %r does not evaluate to %s" % (word, w))
-        tab = multiplicity_table(word)
+        ((_, tab),) = multiplicity_tables([word])  # a fresh pass, not the memo
     value = tab.get(x)
     return RationalNF.zero() if value is None else value
 
 
-def smoothness_target(w, x):
-    """(-1)^(l(w)-l(x)) over the product of Psi(w, x)."""
+def smoothness_target(w, x, psi=None):
+    """(-1)^(l(w)-l(x)) over the product of Psi(w, x), read from psi when it
+    is given."""
     sign = -1 if (length(w) - length(x)) % 2 else 1
-    return RationalNF(
-        p_const(sign), tuple(sorted(psi_set(w, x))), normalize=False
-    )
+    if psi is None:
+        psi = psi_set(w, x)
+    return RationalNF(p_const(sign), tuple(sorted(psi)), normalize=False)
 
 
 def kumar_smooth(w, x):

@@ -307,7 +307,11 @@ def down_closure(members, tops):
 
 @functools.cache
 def nrs_set(w):
-    """All x <= w that are nrs in the Schubert variety of w, as a frozenset."""
+    """All x <= w that are nrs in the Schubert variety of w, as a frozenset:
+    for a spiral owner the members below its maximal nrs points, with no q
+    table built."""
+    if is_spiral(w):
+        return frozenset(down_closure(interval(w), maximal_nrs(w)))
     return frozenset(q_table(w).nrs())
 
 

@@ -6,7 +6,8 @@ q-form against brute reflection counting, heredity and lookup, the
 multiplicity cross-checks, the Setup and Simple Move identities, and the
 global censuses.  `CRITERIA` is the one table of them and `run_criterion`
 the one runner: a row's per-owner check returns the names of the
-identities that fail, and every failure is reported as `<identity> <word>`.
+identities that fail, and every failure is reported as `<identity> <word>`;
+a check that raises is reported as `error:<ExceptionType> <word>`.
 Every row checks exactly the bound it is given, and all checks are exact.
 """
 
@@ -42,6 +43,7 @@ from .kumar import (
     multiplicity_table_of,
     multiplicity_tables,
     psi_set,
+    smoothness_target,
 )
 from .loci import (
     attached_edge_lengths,
@@ -89,16 +91,31 @@ def _owners(bound):
     return tuple(sorted(owners, key=lambda o: (len(o[0]), o[0])))
 
 
+def _reported(check, arg, label=None):
+    """check(arg), or ["error:<ExceptionType>"] when it raises, followed by
+    the label when one is given, so that one raising check fails its row
+    and the later owners and rows still run."""
+    try:
+        return check(arg)
+    except Exception as exc:
+        name = "error:" + type(exc).__name__
+        return [name if label is None else "%s %s" % (name, label)]
+
+
 def _run_row(row, words, bound, workers):
-    """(per-owner failure names, failed facts) of one row.  With more than
-    one worker the facts hook is one more task in the same pool, submitted
-    before the per-owner checks so that it overlaps them."""
+    """(per-owner failure names, failed facts) of one row; a check or facts
+    hook that raises is reported as "error:<ExceptionType>" for its owner
+    or hook function.  With more than one worker the facts hook is one more
+    task in the same pool, submitted before the per-owner checks so that it
+    overlaps them."""
+    check = functools.partial(_reported, row.check)
+    facts = row.facts and functools.partial(_reported, row.facts, label=row.facts.__name__)
     if workers <= 1:
-        return [row.check(w) for w in words], row.facts(bound) if row.facts else []
+        return list(map(check, words)), facts(bound) if facts else []
     with multiprocessing.Pool(workers) as pool:
-        facts = pool.apply_async(row.facts, (bound,)) if row.facts else None
-        names = pool.map(row.check, words)
-        return names, facts.get() if facts else []
+        pending = pool.apply_async(facts, (bound,)) if facts else None
+        names = pool.map(check, words)
+        return names, pending.get() if pending else []
 
 
 # --- per-owner checks take word strings so they pickle cleanly -------------
@@ -203,8 +220,10 @@ def _setup(word):
     ):
         bad.append("setup-move")
     # Simple Move (right descents): order, q, smoothness and |Psi| are
-    # invariant along x -> xu for u in R(w).
-    smooth = kumar_smooth_set(w)
+    # invariant along x -> xu for u in R(w); smoothness is the multiplicity
+    # test on the memoized table, against targets from the Psi sets above.
+    table = multiplicity_table_of(w)
+    smooth = {x for x in members if table[x] == smoothness_target(w, x, psi[x])}
     tab = q_table(w)
     rw = descent_group(w)
     if not all(

@@ -182,13 +182,14 @@ def test_memoized_tables_extend_their_prefix():
     """multiplicity_table_of, one letter past the memoized table of its
     prefix, equals a fresh pass over element_to_word(w), in entries, key
     order and printed values, for every w with l <= 10 visited in shuffled
-    order from an empty memo."""
+    order from an empty memo.  The fresh pass is the trie walk, which reads
+    no memo."""
     owners = sorted(elements_of_length_at_most(10), key=lambda w: (length(w), format_word(w)))
     random.Random(10).shuffle(owners)
     multiplicity_table_of.cache_clear()
     for w in owners:
         memo = multiplicity_table_of(w)
-        fresh = multiplicity_table(element_to_word(w))
+        ((_, fresh),) = multiplicity_tables([element_to_word(w)])
         assert list(memo) == list(fresh), format_word(w)
         assert memo == fresh, format_word(w)
         assert [str(v) for v in memo.values()] == [str(v) for v in fresh.values()]
@@ -200,18 +201,19 @@ def _printed(table):
 
 
 def test_pair_step_matches_the_two_branch_reference():
-    """The memoized table and fresh passes over element_to_word(w) and over
-    both spiral-factorisation words equal the two-branch reference on the
-    same word, in keys, key order and printed values, for every owner with
-    l <= 10; so does every table of one trie walk over all the
-    factorisation words, which share prefixes."""
+    """The memoized table and a fresh pass over element_to_word(w), and
+    multiplicity_table over both spiral-factorisation words, equal the
+    two-branch reference on the same word, in keys, key order and printed
+    values, for every owner with l <= 10; so does every table of one trie
+    walk over all the factorisation words, which share prefixes."""
     words = 0
     factorization_refs = {}
     for w in sorted(elements_of_length_at_most(10), key=lambda w: (length(w), format_word(w))):
         word = element_to_word(w)
         ref = _printed(walk.multiplicity_table(word))
         assert _printed(multiplicity_table_of(w)) == ref, format_word(w)
-        assert _printed(multiplicity_table(word)) == ref, format_word(w)
+        ((_, fresh),) = multiplicity_tables([word])
+        assert _printed(fresh) == ref, format_word(w)
         words += 1
         if not is_spiral(w):
             for u, v in spiral_factorizations(w):
@@ -226,6 +228,61 @@ def test_pair_step_matches_the_two_branch_reference():
         for word, table in multiplicity_tables(list(factorization_refs))
     ]
     assert walked == sorted(factorization_refs.items())
+
+
+def _canonical_prefix_length(word):
+    """The largest k with word[:k] == element_to_word of its own product."""
+    return max(
+        k for k in range(len(word) + 1)
+        if element_to_word(word_to_element(word[:k])) == list(word[:k])
+    )
+
+
+def test_word_tables_extend_only_past_the_longest_canonical_prefix(monkeypatch):
+    """With every table of l <= 10 memoized, multiplicity_table over each
+    spiral-factorisation word of an owner with l <= 10 makes one _extend
+    step per letter after the word's longest canonical prefix, and its
+    table is the two-branch reference's in keys, key order and printed
+    values."""
+    from schubert_a2 import kumar
+
+    owners = sorted(elements_of_length_at_most(10), key=lambda w: (length(w), format_word(w)))
+    for w in owners:
+        multiplicity_table_of(w)
+    steps = [0]
+    extend = kumar._extend
+
+    def counting(table, i):
+        steps[0] += 1
+        return extend(table, i)
+
+    monkeypatch.setattr(kumar, "_extend", counting)
+    letters = extended = 0
+    for w in owners:
+        if is_spiral(w):
+            continue
+        for u, v in spiral_factorizations(w):
+            word = element_to_word(u) + element_to_word(v)
+            steps[0] = 0
+            table = multiplicity_table(word)
+            assert steps[0] == len(word) - _canonical_prefix_length(word), word
+            assert _printed(table) == _printed(walk.multiplicity_table(word)), word
+            letters += len(word)
+            extended += steps[0]
+    assert extended < letters
+
+
+def test_word_route_of_equivariant_multiplicity_reads_no_memo():
+    """equivariant_multiplicity with a word is a second route to the
+    memoized value: a fresh pass that neither reads nor fills the memo."""
+    multiplicity_table_of.cache_clear()
+    multiplicity_table_of(parse_word("0121"))
+    before = multiplicity_table_of.cache_info()
+    for text in ("01210", "012101", "0121"):
+        w = parse_word(text)
+        value = equivariant_multiplicity(w, E, [int(c) for c in text])
+        assert value == walk.multiplicity_table([int(c) for c in text])[E]
+    assert multiplicity_table_of.cache_info() == before
 
 
 def test_forward_pass_negates_once_per_pair_and_multiplies_nothing(monkeypatch):

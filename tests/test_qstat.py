@@ -358,6 +358,24 @@ def test_nrs_set_is_one_memoized_frozenset():
     assert info.misses == 1 and info.hits == len(interval(w))
 
 
+def test_spiral_nrs_set_counts_no_reflections(monkeypatch):
+    """A spiral owner's nrs set is the down-closure of its word-deletion
+    maximal nrs points: q_brute is never called for it."""
+    calls = [0]
+    brute = qstat.q_brute
+
+    def counting(w, x):
+        calls[0] += 1
+        return brute(w, x)
+
+    monkeypatch.setattr(qstat, "q_brute", counting)
+    nrs_set.cache_clear()
+    spirals = [w for w in elements_of_length_at_most(12) if is_spiral(w)]
+    assert all(nrs_set(w) for w in spirals if length(w) >= 4)
+    assert calls == [0]
+    nrs_set.cache_clear()
+
+
 def test_lookup_holds():
     for w in ELEMENTS:
         assert lookup_holds(w), format_word(w)

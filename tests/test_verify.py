@@ -82,8 +82,9 @@ def test_factorization_failure_names_its_owner(monkeypatch):
 
 def test_setup_row_builds_psi_once_per_member(monkeypatch):
     """The setup row asks psi_set once per member of the owner's interval,
-    for its six Setup Moves and its Simple Move |Psi| checks together; the
-    other calls are the Psi(ws, xs) of the moves whose hypotheses hold."""
+    for its six Setup Moves and its Simple Move smoothness and |Psi| checks
+    together, even with kumar_smooth_set cold; the other calls are the
+    Psi(ws, xs) of the moves whose hypotheses hold."""
     from schubert_a2 import kumar
     from schubert_a2.bruhat import interval
 
@@ -96,7 +97,7 @@ def test_setup_row_builds_psi_once_per_member(monkeypatch):
 
     word = "0121012"
     w = parse_word(word)
-    kumar.kumar_smooth_set(w)  # memoized; its smoothness targets are not counted
+    kumar.kumar_smooth_set.cache_clear()
     monkeypatch.setattr(kumar, "psi_set", counting)
     monkeypatch.setattr(verify, "psi_set", counting)
     assert verify._setup(word) == []
@@ -112,3 +113,65 @@ def test_setup_row_builds_psi_once_per_member(monkeypatch):
                     continue
                 held += 1
     assert held > 0 and len(asked) == len(own) + held
+
+
+@pytest.fixture
+def rational_smoothness_mutant(monkeypatch):
+    """qstat.is_rationally_smooth also answers True for the non-spiral
+    owners of length 7, so loci.maximal_singular raises on the singular
+    ones; the memos that read it are cleared before and after."""
+    from schubert_a2 import qstat
+
+    smooth = qstat.is_rationally_smooth
+
+    def mutant(w):
+        return smooth(w) or (qstat.length(w) == 7 and not qstat.is_spiral(w))
+
+    memos = (qstat.maximal_nrs, qstat.nrs_set)
+    for memo in memos:
+        memo.cache_clear()
+    monkeypatch.setattr(qstat, "is_rationally_smooth", mutant)
+    yield
+    monkeypatch.undo()
+    for memo in memos:
+        memo.cache_clear()
+
+
+@pytest.mark.usefixtures("rational_smoothness_mutant")
+def test_a_raising_check_is_reported_not_raised():
+    for key in ("kumar", "loci"):
+        result = run_criterion(key, 7)
+        assert not result.passed and result.bound == 7, result
+        assert "error:AssertionError " in result.detail, result
+    # the kumar row fails on the owners whose check raised, and the rows
+    # after it still run
+    results = run_suite("kumar", max_length=7)
+    assert [r.passed for r in results] == [False, True]
+
+
+@pytest.mark.usefixtures("rational_smoothness_mutant")
+def test_verify_exits_4_with_json_when_a_check_raises(capsys):
+    import json
+
+    from schubert_a2 import cli
+
+    assert cli.run(["verify", "--suite", "all", "--max-length", "7", "--json"]) == 4
+    data = json.loads(capsys.readouterr().out)
+    rows = {r["criterion"]: r for r in data["results"]}
+    assert len(rows) == 11 and not data["passed"]
+    assert "error:AssertionError" in rows["kumar-smooth-locus"]["detail"]
+    assert rows["inversion-identity"]["passed"]
+
+
+def test_raising_checks_and_facts_are_reported_through_the_pool(monkeypatch):
+    # math.factorial raises TypeError on every word, len on every bound;
+    # both are builtins, so they pickle under any start method
+    import math
+
+    monkeypatch.setitem(CRITERIA, "q", verify.Criterion("raising", False, math.factorial, len))
+    for workers in (1, 2):
+        result = run_criterion("q", 4, workers)
+        assert not result.passed and result.bound == 4
+        assert result.detail.startswith(
+            "10 failed in 9 checks (l <= 4): error:TypeError 010, "
+        ), result
