@@ -38,8 +38,6 @@ from .kumar import (
     equivariant_multiplicity,
     kumar_smooth,
     psi_set,
-    root_to_reflection,
-    setup_move_check,
     simple_root_action,
 )
 from .loci import (

@@ -43,7 +43,7 @@ from .alcove import (
 )
 from .bruhat import chords, hull_of, leq
 from .qstat import require_below
-from .rational import RationalNF, p_const
+from .rational import RationalNF, _nf, p_const
 
 BETA = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -272,11 +272,11 @@ def equivariant_multiplicity(w, x, word=None):
 
 def smoothness_target(w, x, psi=None):
     """(-1)^(l(w)-l(x)) over the product of Psi(w, x), read from psi when it
-    is given."""
+    is given.  A unit over positive real roots is already in normal form."""
     sign = -1 if (length(w) - length(x)) % 2 else 1
     if psi is None:
         psi = psi_set(w, x)
-    return RationalNF(p_const(sign), tuple(sorted(psi)), normalize=False)
+    return _nf(p_const(sign), tuple(sorted(psi)))
 
 
 def kumar_smooth(w, x):
@@ -323,7 +323,7 @@ def _setup_hypotheses(w, x, s, side):
     return wbig, xbig
 
 
-def setup_move_check(w, x, i, side="right"):
+def setup_move_check(w, x, i, side="right", psi=None):
     """Verify the Psi and multiplicity identities for one Setup Move.
 
     For the right move with s = s_i: Psi(ws, xs) = Psi(w, x) + {x(b_i)} and
@@ -331,13 +331,9 @@ def setup_move_check(w, x, i, side="right"):
     left move uses s(Psi(w, x)) + {b_i} and divides the s-transformed
     multiplicity by b_i.  Returns True when both hold; raises on a
     hypothesis violation (the Maximum Principle conclusion is asserted).
+    Psi(w, x) is read from psi when it is given, so that a caller checking
+    every move of one x builds it once.
     """
-    return _setup_move_check(w, x, i, side)
-
-
-def _setup_move_check(w, x, i, side, psi=None):
-    """setup_move_check, reading Psi(w, x) from psi when it is given, so
-    that a caller checking every move of one x builds it once."""
     s = SIMPLES[i]
     wbig, xbig = _setup_hypotheses(w, x, s, side)
     if psi is None:

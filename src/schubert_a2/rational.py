@@ -2,14 +2,29 @@
 
 Polynomials live in three variables b0, b1, b2 with integer coefficients,
 stored as maps from exponent triples to nonzero coefficients.  A RationalNF
-is a polynomial numerator over a sorted multiset of positive real roots,
-each an integer linear form (one per denominator factor), kept fully
-cancelled: no denominator form divides the numerator.  Distinct forms are
-non-associate primes in the UFD Z[b0,b1,b2], so this normal form is
-unique; equality is nevertheless decided by exact cross-multiplication.
+num / den is always in one normal form:
+  * den is a sorted tuple of positive primitive linear forms, one per
+    denominator factor (the real roots are such forms);
+  * no form in den divides num;
+  * num has no zero coefficient, and zero is ({}, ()).
+The normal form is unique, so == compares (num, den).  A primitive linear
+form is irreducible in the UFD Z[b0,b1,b2], and two distinct positive ones
+are not associates, the units being +-1.  If n1 / d1 = n2 / d2 with both in
+normal form, then n1 * d2 = n2 * d1.  A form f of either denominator
+divides neither numerator, so its multiplicity in n1 * d2 is its
+multiplicity in d2, and in n2 * d1 its multiplicity in d1: these agree.
+Hence d1 = d2, and n1 = n2 since the ring is a domain.
 
-All arithmetic is on integers.  Real roots are primitive forms, so by
-Gauss's lemma an exact quotient by one is integral, and long division
+The constructor RationalNF(num, den) returns the normal form of its input:
+each den form is made positive, its sign moving into num (a mixed-sign form
+raises ValueError), and then cancelled.  _division_plan, which every
+division and every constructor call with a nonzero numerator reaches,
+raises ValueError for a form whose coefficients share a factor.  The
+arithmetic here, and kumar's smoothness target, build values they know to
+be normal with _nf, the package's one unchecked builder.
+
+All arithmetic is on integers.  Every form is primitive, so by Gauss's
+lemma an exact quotient by one is integral, and long division
 (_long_division) can stop at the first leading coefficient the pivot
 coefficient does not divide.  What a division needs of its form (pivot,
 shifts, the other terms) is a plan, built once per form.  The plan also
@@ -32,6 +47,7 @@ cheap because a cancelled numerator limits what can cancel next:
 from __future__ import annotations
 
 import functools
+import math
 
 
 ZERO_EXP = (0, 0, 0)
@@ -107,7 +123,12 @@ def _division_plan(form):
     hyperplane form = 0: b_i = cp and b_j = 2 * cp for the other two
     variables, and b_pivot = -(f_i + 2 * f_j), so the form's value there is
     cp * (f_i + 2 * f_j) - cp * (f_i + 2 * f_j) = 0 whatever cp is.
+
+    Raises ValueError for a form whose coefficients share a factor: such a
+    form is not irreducible, and the normal form rests on irreducibility.
     """
+    if math.gcd(*form) != 1:
+        raise ValueError("linear form %r is not primitive" % (form,))
     for pivot, cp in enumerate(form):
         if cp in (1, -1):
             break
@@ -200,44 +221,48 @@ def p_str(p):
 
 
 class RationalNF:
-    """Numerator polynomial over a sorted multiset of positive linear forms.
+    """Numerator polynomial over a sorted multiset of positive primitive
+    linear forms, in the normal form of the module docstring.
 
-    normalize=False skips cancellation: the caller vouches that den is
-    sorted and no form in it divides num.
+    RationalNF(num, den) accepts the forms in any order and with either
+    sign, and a numerator with zero coefficients or with factors of den;
+    it moves the signs into the numerator and cancels.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=(), normalize=True):
-        if normalize:
-            num, den = _normalize(num, den)
-        self.num = num
-        self.den = den
+    def __init__(self, num, den=()):
+        sign, forms = 1, []
+        for f in den:
+            f, s = _positive_form(f)
+            sign *= s
+            forms.append(f)
+        num = {e: sign * c for e, c in num.items() if c}
+        self.num, self.den = _normalize(num, forms)
 
     @staticmethod
     def zero():
-        return RationalNF({}, (), normalize=False)
+        return _nf({}, ())
 
     @staticmethod
     def integer(c):
-        return RationalNF(p_const(c), (), normalize=False)
+        return _nf(p_const(c), ())
 
     @staticmethod
     def reciprocal(form):
         """1/form, with the sign pulled into the numerator so the stored
         form is a positive root."""
-        form, sign = _positive_form(form)
-        return RationalNF(p_const(sign), (form,), normalize=False)
+        return RationalNF(p_const(1), (form,))
 
     def __neg__(self):
-        return RationalNF(p_neg(self.num), self.den, normalize=False)
+        return _nf(p_neg(self.num), self.den)
 
     def __add__(self, other):
         den, a, b, shared = _over_common_den(self, other)
         num = p_add(a, b)
         if not num:
             return RationalNF.zero()
-        return RationalNF(*_cancel(num, den, shared), normalize=False)
+        return _nf(*_cancel(num, den, shared))
 
     def sum_divided_by_form(self, other, form):
         """((self + other).divided_by_form(form), its negative), with other
@@ -251,18 +276,15 @@ class RationalNF:
         if num:
             # one trial: a root already in den does not divide num
             num, den = _cancel(num, sorted(den + (root,)), (root,))
-        pos = RationalNF(num, den, normalize=False)
-        neg = RationalNF(p_neg(num), den, normalize=False)
+        pos = _nf(num, den)
+        neg = _nf(p_neg(num), den)
         return (pos, neg) if sign == 1 else (neg, pos)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        return RationalNF(
-            p_mul(self.num, other.num),
-            tuple(sorted(self.den + other.den)),
-        )
+        return _nf(*_normalize(p_mul(self.num, other.num), self.den + other.den))
 
     def divided_by_form(self, form):
         # self is cancelled, so only the new form can divide its numerator
@@ -270,16 +292,14 @@ class RationalNF:
         num = self.num if sign == 1 else p_neg(self.num)
         q = p_div_form(num, form)
         if q is not None:
-            return RationalNF(q, self.den, normalize=False)
-        return RationalNF(num, tuple(sorted(self.den + (form,))), normalize=False)
+            return _nf(q, self.den)
+        return _nf(num, tuple(sorted(self.den + (form,))))
 
     def __eq__(self, other):
+        # the normal form is unique (module docstring)
         if not isinstance(other, RationalNF):
             return NotImplemented
-        if self.num == other.num and self.den == other.den:
-            return True
-        _, a, b, _ = _over_common_den(self, other)
-        return a == b
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         raise TypeError("RationalNF is unhashable")
@@ -315,7 +335,7 @@ class RationalNF:
                         pw.append(p_mul_form(pw[-1], images[i]))
                     term = p_mul(term, pw[k])
             num = p_add(num, term)
-        return RationalNF(num, tuple(sorted(den)), normalize=False)
+        return _nf(num, tuple(sorted(den)))
 
     def __str__(self):
         num = self.num
@@ -328,6 +348,15 @@ class RationalNF:
         return "(%s) / %s" % (text, "".join(map(_form_str, self.den)))
 
     __repr__ = __str__
+
+
+def _nf(num, den):
+    """The RationalNF num / den, which the caller knows to be in normal form;
+    nothing is checked."""
+    value = object.__new__(RationalNF)
+    value.num = num
+    value.den = den
+    return value
 
 
 @functools.cache
@@ -400,6 +429,7 @@ def _cancel(num, den, forms):
 
 
 def _normalize(num, den):
+    """The normal form of num / den for positive primitive forms in den."""
     if not num:
         return {}, ()
     return _cancel(num, sorted(den), set(den))

@@ -38,11 +38,11 @@ from .alcove import (
 from .bruhat import hexagon, interval, leq, oracle_interval
 from .kumar import (
     SetupHypothesisError,
-    _setup_move_check,
     kumar_smooth_set,
     multiplicity_table_of,
     multiplicity_tables,
     psi_set,
+    setup_move_check,
     smoothness_target,
 )
 from .loci import (
@@ -201,7 +201,7 @@ def _factorizations(bound):
 
 def _setup_move_holds(w, x, i, side, psi):
     try:
-        return _setup_move_check(w, x, i, side, psi)
+        return setup_move_check(w, x, i, side, psi)
     except SetupHypothesisError:
         return True
 

@@ -11,10 +11,18 @@ the same polynomial.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubert_a2.kumar import BETA, is_positive_real_root, simple_root_action
+from schubert_a2.kumar import (
+    BETA,
+    is_positive_real_root,
+    multiplicity_table_of,
+    simple_root_action,
+    smoothness_target,
+)
+from schubert_a2.loci import elements_of_length_at_most
 from schubert_a2.rational import (
     RationalNF,
     _cancel,
@@ -23,6 +31,7 @@ from schubert_a2.rational import (
     p_const,
     p_div_form,
     p_mul,
+    p_neg,
 )
 
 # alpha + n*delta for the finite roots alpha = b1, b2, b1 + b2
@@ -87,6 +96,7 @@ def reference_eq(x, y):
 def assert_cancelled(v):
     assert list(v.den) == sorted(v.den)
     assert all(is_positive_real_root(f) for f in v.den)
+    assert all(v.num.values()), v
     if v.num == {}:
         assert v.den == ()
     for f in set(v.den):
@@ -204,7 +214,7 @@ def test_printing_constant_numerators():
     assert str(RationalNF.integer(-3)) == "-3"
     assert str(RationalNF.zero()) == "0"
     assert str(RationalNF(p_const(2), ((1, 1, 0), (0, 1, 0)))) == "(2) / (b1)(b0 + b1)"
-    repeated = RationalNF(p_const(-1), ((0, 1, 0), (0, 1, 0), (0, 1, 1)), normalize=False)
+    repeated = RationalNF(p_const(-1), ((0, 1, 0), (0, 1, 0), (0, 1, 1)))
     assert str(repeated) == "(-1) / (b1)(b1)(b1 + b2)"
     assert str(RationalNF({(1, 0, 0): 2, (0, 0, 0): -1}, ((0, 1, 0),))) == "(2*b0 - 1) / (b1)"
 
@@ -267,11 +277,49 @@ def test_equality_matches_reference(x, y, f, how):
     if how == 1:
         y = x + y - y
     elif how == 2:
-        # the same value, deliberately left uncancelled
-        y = RationalNF(
-            p_mul(x.num, form_poly(f)), tuple(sorted(x.den + (f,))), normalize=False
-        )
+        # the same value given uncancelled, unsorted and with a negated form:
+        # the constructor returns x's own normal form
+        num = p_mul(x.num, form_poly(f))
+        neg = tuple(-c for c in f)
+        for den in ((f,) + x.den, x.den[::-1] + (f,)):
+            y = RationalNF(num, den)
+            assert (y.num, y.den) == (x.num, x.den)
+            y = RationalNF(p_neg(num), (neg,) + x.den)
+            assert (y.num, y.den) == (x.num, x.den)
     assert (x == y) == reference_eq(x, y)
     assert (y == x) == reference_eq(x, y)
     if how:
         assert x == y
+
+
+def test_the_constructor_returns_the_normal_form():
+    # a negative form's sign moves into the numerator
+    v = RationalNF(p_const(1), ((0, -1, 0),))
+    assert v.den == ((0, 1, 0),) and v.num == {(0, 0, 0): -1}
+    assert str(v) == "(-1) / (b1)"
+    # a form whose coefficients share a factor is not irreducible
+    with pytest.raises(ValueError):
+        RationalNF(p_const(2), ((2, 0, 0),))
+    with pytest.raises(ValueError):
+        RationalNF.reciprocal((2, 0, 0))
+    with pytest.raises(ValueError):
+        RationalNF(p_const(1), ((1, -1, 0),))
+    # zero has no denominator, and zero coefficients are dropped
+    zero = RationalNF({}, ((0, 1, 0),))
+    assert (zero.num, zero.den) == ({}, ())
+    two = RationalNF({(1, 0, 0): 0, (0, 0, 0): 2})
+    assert (two.num, two.den) == ({(0, 0, 0): 2}, ())
+
+
+def test_table_equality_matches_reference():
+    """On every table entry with l <= 8, == against the smoothness target
+    (num and den compared) agrees with cross-multiplication."""
+    pairs = smooth = 0
+    for w in elements_of_length_at_most(8):
+        for x, v in multiplicity_table_of(w).items():
+            target = smoothness_target(w, x)
+            equal = v == target
+            assert equal == reference_eq(v, target), (w, x)
+            pairs += 1
+            smooth += equal
+    assert pairs == 3289 and 0 < smooth < pairs
