@@ -178,6 +178,12 @@ class Hull(NamedTuple):
         a1, b1, a0, b0, ad, bd = self.boxes[f]
         return a1 <= l1 <= b1 and a0 <= l0 <= b0 and ad <= l0 - l1 <= bd
 
+    def edge(self, i):
+        """Centers from vertex i to the next one round the ring, inclusive."""
+        a = self.vertices[i].center()
+        b = self.vertices[(i + 1) % len(self.vertices)].center()
+        return centers_between(a, b)
+
 
 class Hexagon(NamedTuple):
     """The Bruhat hexagon of a non-spiral element, which is also its hull.
@@ -196,12 +202,7 @@ class Hexagon(NamedTuple):
     boxes: tuple
 
     contains = Hull.contains
-
-    def edge(self, i):
-        """Centers along the edge from vertex i to vertex i+1, inclusive."""
-        a = self.vertices[i].center()
-        b = self.vertices[(i + 1) % 6].center()
-        return centers_between(a, b)
+    edge = Hull.edge
 
 
 def _bounds(vertices):
@@ -283,6 +284,16 @@ def degenerate_hull(w):
 def leq(x, w):
     """Bruhat order x <= w, decided by hull membership."""
     return hull_of(w).contains(x)
+
+
+class NotComparableError(ValueError):
+    """x <= w was required but does not hold."""
+
+
+def require_below(x, w):
+    """Raise NotComparableError unless x <= w."""
+    if not leq(x, w):
+        raise NotComparableError("%s is not below %s" % (display_word(x), display_word(w)))
 
 
 def leq_oracle(x, w):

@@ -19,10 +19,10 @@ from .alcove import (
     length,
     parse_word,
 )
-from .bruhat import hexagon, hexagon_to_dict, leq, leq_oracle
+from .bruhat import NotComparableError, hexagon, hexagon_to_dict, leq, leq_oracle, require_below
 from .kumar import equivariant_multiplicity, kumar_smooth
 from .loci import enumerate_smooth_varieties, locus_report
-from .qstat import NotComparableError, q_table, q_value, require_below
+from .qstat import q_table, q_value
 from .render import LAYERS, ConfigError, RenderSpec, render
 from .verify import SUITES, run_suite
 

@@ -13,9 +13,9 @@ The table is built by a forward pass over the word that keeps every partial
 product's sum already signed by the parity of the letters read.  A letter i
 pairs each z with z * s_i: since (z * s_i)(b_i) = -z(b_i), both receive the
 same sum with opposite signs, so a pair costs one addition (when both are
-present), one division by a linear form and one negation, and the partner
-z * s_i comes from a step table per finite part and letter, not from a
-group product.
+present), one division by a linear form and one negation; z * s_i and
+z(b_i), affine-linear in z's lattice coordinates, come from one step table
+per finite part and letter (_STEP), with no group product, word or memo.
 
 multiplicity_table_of(w) memoizes the table of element_to_word(w), one
 letter past the table of its prefix.  multiplicity_table(word) starts from
@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 
 from .alcove import (
+    _FIN_MATS,
     E,
     POSITIVE_ROOTS,
     SIMPLES,
@@ -41,8 +42,7 @@ from .alcove import (
     length,
     word_to_element,
 )
-from .bruhat import chords, hull_of, leq
-from .qstat import require_below
+from .bruhat import chords, hull_of, leq, require_below
 from .rational import RationalNF, _nf, p_const
 
 BETA = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -78,21 +78,36 @@ def simple_root_action(i, r):
     return tuple(out)
 
 
-@functools.cache
-def _action_matrix(w):
-    """Columns are the images w(b0), w(b1), w(b2)."""
-    cols = list(BETA)
-    for i in reversed(element_to_word(w)):
-        cols = [simple_root_action(i, c) for c in cols]
-    return tuple(cols)
+def _build_step():
+    """_STEP[f][i] = (dl0, dl1, g, f(b_i), u, v) per finite part f and letter i.
+
+    z * s_i = t(l0 + dl0, l1 + dl1) * g for every z = t(l0, l1) * f.  f fixes
+    delta and moves the finite part of b_i by its matrix, to p * a1 + q * a2.
+    A translation acts by t(lam)(alpha + n * delta) = alpha + (n - <lam, alpha>)
+    * delta (Kac, Infinite-dimensional Lie Algebras, 6.5), and the pairing
+    <l0 * a1v + l1 * a2v, p * a1 + q * a2> is u * l0 + v * l1 with u = 2p - q,
+    v = 2q - p; so z(b_i) = f(b_i) - (u * l0 + v * l1) * (1, 1, 1).
+    """
+    table = []
+    for f, ((m00, m01), (m10, m11)) in enumerate(_FIN_MATS):
+        row = []
+        for s, (n, c1, c2) in zip(SIMPLES, BETA):
+            p, q = m00 * (c1 - n) + m01 * (c2 - n), m10 * (c1 - n) + m11 * (c2 - n)
+            zs = AffineElement((0, 0), f) * s
+            row.append((*zs.lam, zs.fin, (n, n + p, n + q), 2 * p - q, 2 * q - p))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+_STEP = _build_step()
 
 
 def element_root_action(w, r):
-    """Image of an affine root triple under w."""
-    m = _action_matrix(w)
-    return tuple(
-        r[0] * m[0][j] + r[1] * m[1][j] + r[2] * m[2][j] for j in range(3)
-    )
+    """Image of an affine root triple under w = t(l0, l1) * f: the sum of
+    r_j * w(b_j), each w(b_j) read off _STEP[f][j] as in _extend."""
+    (l0, l1), f = w
+    k = sum(rj * (u * l0 + v * l1) for rj, (*_, u, v) in zip(r, _STEP[f]))
+    return tuple(sum(rj * row[3][m] for rj, row in zip(r, _STEP[f])) - k for m in range(3))
 
 
 def root_to_reflection(r):
@@ -165,14 +180,6 @@ def _check_reduced(word):
         raise ValueError("word %r is not reduced" % (word,))
 
 
-# _PARTNER[f][i] = (dl0, dl1, f'): z * s_i = t(l0 + dl0, l1 + dl1) * f' for
-# every z = t(l0, l1) * f, since z * s_i = t(l0, l1) * (f * s_i).
-_PARTNER = tuple(
-    tuple((*p.lam, p.fin) for p in (AffineElement((0, 0), f) * s for s in SIMPLES))
-    for f in range(6)
-)
-
-
 def _extend(table, i):
     """One letter i of the forward pass on a parity-signed table T.
 
@@ -180,19 +187,19 @@ def _extend(table, i):
     and (z * s_i)(b_i) = -z(b_i); so the pair {z, z * s_i} receives one sum,
     T'[z] = (T[z] + T[z * s_i]) / (z * s_i)(b_i) and T'[z * s_i] = -T'[z],
     the sign flip of the longer word included.  sum_divided_by_form gives
-    both with one addition, one division and one negation, and z * s_i is
-    read off _PARTNER.  Pairs enter the new table in the order their first
-    member appears in T, z before z * s_i."""
-    partner = [row[i] for row in _PARTNER]
+    both with one addition, one division and one negation, and z * s_i and
+    z(b_i) are read off _STEP.  Pairs enter the new table in the order
+    their first member appears in T, z before z * s_i."""
+    steps = [row[i] for row in _STEP]
     new = {}
     for z, total in table.items():
         if z in new:
             continue
         (l0, l1), f = z
-        d0, d1, g = partner[f]
+        d0, d1, g, (a, b, c), u, v = steps[f]
         zs = AffineElement((l0 + d0, l1 + d1), g)
-        a, b, c = _action_matrix(z)[i]
-        new[z], new[zs] = total.sum_divided_by_form(table.get(zs), (-a, -b, -c))
+        k = u * l0 + v * l1  # (z * s_i)(b_i) = -z(b_i) = k * (1, 1, 1) - f(b_i)
+        new[z], new[zs] = total.sum_divided_by_form(table.get(zs), (k - a, k - b, k - c))
     return new
 
 
@@ -285,7 +292,6 @@ def kumar_smooth(w, x):
     return equivariant_multiplicity(w, x) == smoothness_target(w, x)
 
 
-@functools.cache
 def kumar_smooth_set(w):
     """All x below w passing the multiplicity test, from one table pass, as
     a frozenset."""

@@ -30,7 +30,7 @@ from .alcove import (
     type_of,
     word_deletions,
 )
-from .bruhat import centers_between, hull_of, interval, leq, shell_index
+from .bruhat import hull_of, interval, leq, shell_index
 from .qstat import (
     codimension,
     down_closure,
@@ -81,14 +81,10 @@ def _spiral_smooth_points(w, max_sing):
 
 
 def _attached_edges(w):
-    """Center lists of the two hull edges attached to w, starting at w."""
+    """Center lists of the two hull edges attached to w, starting at w: the
+    vertex ring starts at w, so they are its first edge and its last reversed."""
     h = hull_of(w)
-    if not is_spiral(w):
-        return [h.edge(0), h.edge(5)[::-1]]
-    # the hull neighbours of w: v1 and v3 of a quadrilateral, the other end
-    # of a chain twice, and w itself for the identity
-    v = [x.center() for x in h.vertices]
-    return [centers_between(v[0], v[min(1, len(v) - 1)]), centers_between(v[0], v[-1])]
+    return [h.edge(0), h.edge(-1)[::-1]]
 
 
 def attached_edge_lengths(w):

@@ -16,7 +16,8 @@ For a non-spiral w the point x is non-rationally-smooth (nrs) in the
 Schubert variety of w exactly when q(w, x) > 0, read from one q_table.
 For spiral w the nrs set is the down-closure of the q > 0 points; their
 maximal elements are one or two deletions from the one reduced word of w
-(maximal_nrs), and the nrs set is the down-closure of those.
+(maximal_nrs), and the nrs set is the down-closure of those.  nrs(w, x)
+reads no q table: it asks whether x lies below a maximal nrs point.
 lookup_holds checks that one reflection step up from x finds that set: a
 partner lies above x exactly when its reflecting line does not separate x
 from the fundamental alcove, so it is decided by arithmetic on the chords.
@@ -44,34 +45,25 @@ from .alcove import (
     length,
     orientation,
     pairing,
+    strip_directions,
     translate_out_of_chamber,
     type_of,
     word_deletions,
 )
 from .bruhat import (
+    NotComparableError,  # noqa: F401  (re-exported)
     chords,
     diagonal_direction,
     hull_of,
     interval,
     leq,
+    require_below,
     shell_index,
     special_segments,
     string_centers,
     trans,
     triangle_test,
 )
-
-
-class NotComparableError(ValueError):
-    """x <= w was required but does not hold."""
-
-
-def require_below(x, w):
-    """Raise NotComparableError unless x <= w."""
-    if not leq(x, w):
-        raise NotComparableError(
-            "%s is not below %s" % (display_word(x), display_word(w))
-        )
 
 
 def _reflection_count(cx, spans):
@@ -289,9 +281,10 @@ def q_table(w):
 # The nrs locus.
 
 def nrs(w, x):
-    """Is x non-rationally-smooth in the Schubert variety of w?"""
+    """Is x non-rationally-smooth in the Schubert variety of w?  The nrs
+    locus is closed: x lies below one of its (at most three) maximal points."""
     require_below(x, w)
-    return x in nrs_set(w)
+    return any(leq(x, z) for z in maximal_nrs(w))
 
 
 def down_closure(members, tops):
@@ -303,16 +296,6 @@ def down_closure(members, tops):
     """
     hulls = [hull_of(y) for y in bruhat_maximal(tops)]
     return {x for x in members if any(h.contains(x) for h in hulls)}
-
-
-@functools.cache
-def nrs_set(w):
-    """All x <= w that are nrs in the Schubert variety of w, as a frozenset:
-    for a spiral owner the members below its maximal nrs points, with no q
-    table built."""
-    if is_spiral(w):
-        return frozenset(down_closure(interval(w), maximal_nrs(w)))
-    return frozenset(q_table(w).nrs())
 
 
 def bruhat_maximal(elements):
@@ -356,12 +339,10 @@ def _split_in_chamber(w, pair):
     return inside[0], outside[0]
 
 
-def _reflect_across_other_wall(w, hx, z2):
+def _reflect_across_other_wall(hx, z2):
     """Mirror z2 across the chamber wall not bounding the strip containing it."""
-    walls = hx.hyperplanes[:2]
-    in_strip = [r for r in walls if pairing(z2.center(), r.root) in (1, 2)]
-    assert len(in_strip) == 1
-    other = walls[0] if walls[1] == in_strip[0] else walls[1]
+    dirs = strip_directions(z2.center())
+    (other,) = [r for r in hx.hyperplanes[:2] if r.root not in dirs]
     return other.element() * z2
 
 
@@ -413,7 +394,7 @@ def maximal_nrs(w):
     if is_base_case(w):
         z1, z2 = _split_in_chamber(w, pair)
         assert len(ps) == 1
-        return ps | {z1, _reflect_across_other_wall(w, hx, z2)}
+        return ps | {z1, _reflect_across_other_wall(hx, z2)}
     return ps.union(pair)
 
 

@@ -18,6 +18,7 @@ from .alcove import (
     POSITIVE_ROOTS,
     display_word,
     element_from_center,
+    is_center,
     is_spiral,
     orientation,
     parse_word,
@@ -149,13 +150,12 @@ def _auto_viewport(owner):
 
 def _centers_in_viewport(vp):
     p1min, p2min, p1max, p2max = vp
-    out = []
-    for p1 in range(p1min, p1max + 1):
-        for p2 in range(p2min, p2max + 1):
-            r = p1 % 3
-            if r != 0 and p2 % 3 == r:
-                out.append((p1, p2))
-    return out
+    return [
+        (p1, p2)
+        for p1 in range(p1min, p1max + 1)
+        for p2 in range(p2min, p2max + 1)
+        if is_center((p1, p2))
+    ]
 
 
 def render(spec, payload):

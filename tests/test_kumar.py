@@ -27,6 +27,7 @@ from schubert_a2.kumar import (
     BETA,
     NotRealRootError,
     SetupHypothesisError,
+    _STEP,
     _extend,
     _level_root,
     element_root_action,
@@ -72,6 +73,27 @@ def test_inverse_action():
         w = word_to_element([random.randrange(3) for _ in range(9)])
         r = (random.randrange(-4, 5), random.randrange(-4, 5), random.randrange(-4, 5))
         assert element_root_action(w, element_root_action(w.inverse(), r)) == r
+
+
+def test_step_table_gives_the_word_walk_root_images():
+    """For every z = t(l0, l1) * f with l <= 12 and every letter i, _STEP[f][i]
+    gives z * s_i and z(b_i) = f(b_i) - (u * l0 + v * l1) * (1, 1, 1), the
+    image walk.action_matrix finds by walking a reduced word of z, and
+    element_root_action agrees with that matrix on each b_i and on a
+    mixed root."""
+    owners = elements_of_length_at_most(12)
+    assert len(owners) == 235
+    for z in owners:
+        (l0, l1), f = z
+        cols = walk.action_matrix(z)
+        for i in range(3):
+            d0, d1, g, root, u, v = _STEP[f][i]
+            assert AffineElement((l0 + d0, l1 + d1), g) == z * SIMPLES[i], (format_word(z), i)
+            k = u * l0 + v * l1
+            assert tuple(c - k for c in root) == cols[i], (format_word(z), i)
+            assert element_root_action(z, BETA[i]) == cols[i], (format_word(z), i)
+        mixed = tuple(sum(r * col[m] for r, col in zip((2, -1, 3), cols)) for m in range(3))
+        assert element_root_action(z, (2, -1, 3)) == mixed, format_word(z)
 
 
 def test_root_reflection_bijection_simples():
@@ -302,7 +324,6 @@ def test_forward_pass_negates_once_per_pair_and_multiplies_nothing(monkeypatch):
         return mul(a, b)
 
     word = [int(c) for c in "0120120120120102"]
-    multiplicity_table(word)  # warms _action_matrix, which is not counted
     monkeypatch.setattr(rational, "p_neg", counting_neg)
     monkeypatch.setattr(AffineElement, "__mul__", counting_mul)
     table = {E: RationalNF.integer(1)}

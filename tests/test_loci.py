@@ -19,7 +19,7 @@ from schubert_a2.alcove import (
     type_of,
     word_to_element,
 )
-from schubert_a2 import loci, qstat
+from schubert_a2 import kumar, loci, qstat, verify
 from schubert_a2.bruhat import hexagon, hull_of, interval, leq
 from schubert_a2.kumar import kumar_smooth_set, multiplicity_table_of
 from schubert_a2.loci import (
@@ -38,8 +38,9 @@ from schubert_a2.qstat import (
     bruhat_maximal,
     maximal_nrs,
     nrs_codimension,
-    nrs_set,
+    q_table,
 )
+from walk import walk_between
 
 
 def _by_length(w):
@@ -127,7 +128,7 @@ def test_bruhat_maximal_matches_pairwise_leq(monkeypatch):
     for w in sorted(elements_of_length_at_most(10), key=_by_length):
         ordered = sorted(interval(w), key=_by_length)
         cases.append((w, interval(w) - smooth_points(w)))
-        cases.append((w, nrs_set(w)))
+        cases.append((w, q_table(w).nrs()))
         cases.append((w, set(rng.sample(ordered, rng.randint(0, len(ordered))))))
     built = []
 
@@ -225,8 +226,8 @@ def test_downward_closures():
     random.seed(31)
     for w in random.sample(ELEMENTS, 60):
         members = interval(w)
-        singular = {x for x in members if x not in kumar_smooth_set(w)}
-        nrs_members = nrs_set(w)
+        singular = members - kumar_smooth_set(w)
+        nrs_members = q_table(w).nrs()
         assert nrs_members <= singular
         for closed in (singular, nrs_members):
             for x in closed:
@@ -262,6 +263,20 @@ def test_spiral_loci_match_the_multiplicity_test():
         assert maximal_singular(w) == bruhat_maximal(interval(w) - smooth), format_word(w)
 
 
+def test_attached_edges_run_from_the_owner_to_its_hull_neighbours():
+    """The first hull edge and the last one reversed are the centers from w
+    to its two ring neighbours, as the stepping walk finds them, for the
+    identity, the l = 1 chains, the quadrilaterals and the hexagons of
+    every owner with l <= 10."""
+    kinds = set()
+    for w in elements_of_length_at_most(10):
+        v = [x.center() for x in hull_of(w).vertices]
+        kinds.add(len(v))
+        expected = [walk_between(v[0], v[min(1, len(v) - 1)]), walk_between(v[0], v[-1])]
+        assert loci._attached_edges(w) == expected, format_word(w)
+    assert kinds == {1, 2, 4, 6}
+
+
 def test_spiral_report_reads_the_closed_form():
     w = spiral_element((0, 1), 5)
     rep = locus_report(w)
@@ -283,13 +298,20 @@ def test_locus_reports_are_pinned():
 
 
 @pytest.mark.parametrize("word", ["0120120", "012101201"])
-def test_locus_report_evaluates_each_locus_once(word):
+def test_locus_report_evaluates_each_locus_once(word, monkeypatch):
     w = parse_word(word)
+    calls = []
+
+    def counting(v):
+        calls.append(v)
+        return kumar_smooth_set(v)
+
+    for module in (kumar, verify):
+        monkeypatch.setattr(module, "kumar_smooth_set", counting)
     maximal_nrs.cache_clear()
-    kumar_smooth_set.cache_clear()
     locus_report(w)
     assert maximal_nrs.cache_info().misses == 1
-    assert kumar_smooth_set.cache_info().misses == 0
+    assert calls == []
 
 
 def test_spiral_locus_report_builds_one_table(monkeypatch):
@@ -313,8 +335,7 @@ def test_spiral_locus_report_builds_one_table(monkeypatch):
     for name in calls:
         monkeypatch.setattr(qstat, name, counting(name))
     monkeypatch.setattr(loci, "q_table", qstat.q_table)
-    for memo in (nrs_set, maximal_nrs, kumar_smooth_set):
-        memo.cache_clear()
+    maximal_nrs.cache_clear()
     w = parse_word("2102102102102")
     assert is_spiral(w)
     locus_report(w)
@@ -324,7 +345,6 @@ def test_spiral_locus_report_builds_one_table(monkeypatch):
 def test_spiral_locus_report_builds_no_multiplicity_table():
     w = parse_word("2102102102102")
     assert is_spiral(w)
-    kumar_smooth_set.cache_clear()
     multiplicity_table_of.cache_clear()
     locus_report(w)
     assert multiplicity_table_of.cache_info().misses == 0

@@ -55,7 +55,6 @@ from schubert_a2.qstat import (
     maximal_nrs,
     nrs,
     nrs_codimension,
-    nrs_set,
     q_brute,
     q_structured,
     q_table,
@@ -233,7 +232,7 @@ def test_spiral_nrs_closed_form_to_24():
         tops = walk.maximal_nrs(w)
         assert maximal_nrs(w) == tops, format_word(w)
         below = {x for x in interval(w) if any(leq(x, y) for y in tops)}
-        assert nrs_set(w) == below, format_word(w)
+        assert q_table(w).nrs() == below, format_word(w)
 
 
 def test_spiral_maximal_nrs_reads_no_table(monkeypatch):
@@ -253,7 +252,6 @@ def test_spiral_maximal_nrs_reads_no_table(monkeypatch):
     for name in calls:
         monkeypatch.setattr(qstat, name, counting(name))
     maximal_nrs.cache_clear()
-    nrs_set.cache_clear()
     for word in ("012012", "2102102102102", "12012012012012"):
         w = parse_word(word)
         assert is_spiral(w) and maximal_nrs(w)
@@ -349,31 +347,35 @@ def test_q_tables_are_pinned():
     )
 
 
-def test_nrs_set_is_one_memoized_frozenset():
-    w = parse_word("0120120102")
-    nrs_set.cache_clear()
-    assert isinstance(nrs_set(w), frozenset)
-    assert [x for x in interval(w) if nrs(w, x)]
-    info = nrs_set.cache_info()
-    assert info.misses == 1 and info.hits == len(interval(w))
+def test_nrs_reads_the_maximal_nrs_points(monkeypatch):
+    """For every owner with l <= 12, nrs(w, x) is membership in
+    q_table(w).nrs() for every x <= w, and it is answered below the maximal
+    nrs points: it calls neither q_table nor q_brute, spiral owners
+    included."""
+    owners = sorted(elements_of_length_at_most(12), key=_by_length)
+    assert len(owners) == 235
+    expected = {w: q_table(w).nrs() for w in owners}
+    calls = []
 
+    def counting(name):
+        fn = getattr(qstat, name)
 
-def test_spiral_nrs_set_counts_no_reflections(monkeypatch):
-    """A spiral owner's nrs set is the down-closure of its word-deletion
-    maximal nrs points: q_brute is never called for it."""
-    calls = [0]
-    brute = qstat.q_brute
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
 
-    def counting(w, x):
-        calls[0] += 1
-        return brute(w, x)
+        return wrapped
 
-    monkeypatch.setattr(qstat, "q_brute", counting)
-    nrs_set.cache_clear()
-    spirals = [w for w in elements_of_length_at_most(12) if is_spiral(w)]
-    assert all(nrs_set(w) for w in spirals if length(w) >= 4)
-    assert calls == [0]
-    nrs_set.cache_clear()
+    for name in ("q_table", "q_brute"):
+        monkeypatch.setattr(qstat, name, counting(name))
+    maximal_nrs.cache_clear()
+    pairs = 0
+    for w in owners:
+        for x in interval(w):
+            assert nrs(w, x) == (x in expected[w]), (format_word(w), format_word(x))
+            pairs += 1
+    assert calls == [] and pairs > 10000
+    assert any(expected[w] for w in owners if is_spiral(w))
 
 
 def test_lookup_holds():

@@ -83,8 +83,8 @@ def test_factorization_failure_names_its_owner(monkeypatch):
 def test_setup_row_builds_psi_once_per_member(monkeypatch):
     """The setup row asks psi_set once per member of the owner's interval,
     for its six Setup Moves and its Simple Move smoothness and |Psi| checks
-    together, even with kumar_smooth_set cold; the other calls are the
-    Psi(ws, xs) of the moves whose hypotheses hold."""
+    together; the other calls are the Psi(ws, xs) of the moves whose
+    hypotheses hold."""
     from schubert_a2 import kumar
     from schubert_a2.bruhat import interval
 
@@ -97,7 +97,6 @@ def test_setup_row_builds_psi_once_per_member(monkeypatch):
 
     word = "0121012"
     w = parse_word(word)
-    kumar.kumar_smooth_set.cache_clear()
     monkeypatch.setattr(kumar, "psi_set", counting)
     monkeypatch.setattr(verify, "psi_set", counting)
     assert verify._setup(word) == []
@@ -119,7 +118,7 @@ def test_setup_row_builds_psi_once_per_member(monkeypatch):
 def rational_smoothness_mutant(monkeypatch):
     """qstat.is_rationally_smooth also answers True for the non-spiral
     owners of length 7, so loci.maximal_singular raises on the singular
-    ones; the memos that read it are cleared before and after."""
+    ones; the memo that reads it is cleared before and after."""
     from schubert_a2 import qstat
 
     smooth = qstat.is_rationally_smooth
@@ -127,14 +126,11 @@ def rational_smoothness_mutant(monkeypatch):
     def mutant(w):
         return smooth(w) or (qstat.length(w) == 7 and not qstat.is_spiral(w))
 
-    memos = (qstat.maximal_nrs, qstat.nrs_set)
-    for memo in memos:
-        memo.cache_clear()
+    qstat.maximal_nrs.cache_clear()
     monkeypatch.setattr(qstat, "is_rationally_smooth", mutant)
     yield
     monkeypatch.undo()
-    for memo in memos:
-        memo.cache_clear()
+    qstat.maximal_nrs.cache_clear()
 
 
 @pytest.mark.usefixtures("rational_smoothness_mutant")
@@ -175,3 +171,43 @@ def test_raising_checks_and_facts_are_reported_through_the_pool(monkeypatch):
         assert result.detail.startswith(
             "10 failed in 9 checks (l <= 4): error:TypeError 010, "
         ), result
+
+
+def test_process_wide_memos_are_these_eleven():
+    """The callables defined in the package's modules that carry
+    cache_info are exactly these eleven memos, and the only cached
+    properties are the two of qstat._Level: a memo that a mutant or a
+    recorder must clear is listed here on purpose."""
+    import functools
+    import importlib
+    import pkgutil
+
+    import schubert_a2
+
+    memos, properties = set(), set()
+    for info in pkgutil.iter_modules(schubert_a2.__path__):
+        module = importlib.import_module("schubert_a2." + info.name)
+        owners = [module] + [
+            c for c in vars(module).values()
+            if isinstance(c, type) and c.__module__ == module.__name__
+        ]
+        for owner in owners:
+            for obj in vars(owner).values():
+                if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                    memos.add("%s.%s" % (info.name, obj.__qualname__))
+                if isinstance(obj, functools.cached_property):
+                    properties.add("%s.%s" % (info.name, obj.func.__qualname__))
+    assert memos == {
+        "alcove.length",
+        "alcove.element_from_center",
+        "bruhat.hull_of",
+        "qstat._base4_geometry",
+        "qstat.maximal_nrs",
+        "kumar.multiplicity_table_of",
+        "rational._division_plan",
+        "rational._form_str",
+        "verify._owners",
+        "verify._elements",
+        "cli._build_parser",
+    }
+    assert properties == {"qstat._Level.below", "qstat._Level.special"}

@@ -34,6 +34,10 @@ product z branches to z and z * s_i with its own division by z(b_i), the
 two branches are added where they meet, and the parity sign of the word is
 applied to the whole table at the end.
 
+action_matrix is the reference for kumar._STEP's root images: it walks a
+reduced word of w, found by element_to_word below, through
+kumar.simple_root_action.
+
 act is the matrix action of an element on a scaled point, the reference
 for AffineElement.center's table of the images of Q0.
 
@@ -41,6 +45,8 @@ descents and element_to_word built on length(w * s_i) are the reference
 for the wall table of alcove.descents and alcove.element_to_word: they
 multiply by each simple reflection and compare lengths.
 """
+
+import functools
 
 from schubert_a2.alcove import (
     E,
@@ -54,14 +60,23 @@ from schubert_a2.alcove import (
     length,
     pairing,
 )
-from schubert_a2.bruhat import chords, hull_of, leq, string_centers, string_direction, trans
+from schubert_a2.bruhat import (
+    chords,
+    hull_of,
+    leq,
+    require_below,
+    string_centers,
+    string_direction,
+    trans,
+)
 from schubert_a2.kumar import (
+    BETA,
     _FINITE_TRIPLES,
-    _action_matrix,
     is_positive_real_root,
     root_to_reflection,
+    simple_root_action,
 )
-from schubert_a2.qstat import q_brute, require_below
+from schubert_a2.qstat import q_brute
 from schubert_a2.rational import RationalNF
 
 # Change of the scaled coordinate pair for one center-to-center step along a
@@ -205,6 +220,16 @@ def element_to_word(w):
     return letters
 
 
+@functools.cache
+def action_matrix(w):
+    """The images w(b0), w(b1), w(b2): each b_j under the letters of a
+    reduced word of w, last letter first.  Cached, as a test helper only."""
+    cols = list(BETA)
+    for i in reversed(element_to_word(w)):
+        cols = [simple_root_action(i, c) for c in cols]
+    return tuple(cols)
+
+
 def act(w, point):
     """Image of a scaled point under w = t(lam) * f: the finite part's matrix
     on point, then the translation by 3 * G * lam."""
@@ -252,7 +277,7 @@ def multiplicity_table(word):
     for i in word:
         new = {}
         for z, val in states.items():
-            branch = val.divided_by_form(_action_matrix(z)[i])
+            branch = val.divided_by_form(action_matrix(z)[i])
             for target, term in ((z, branch), (z * SIMPLES[i], -branch)):
                 prev = new.get(target)
                 new[target] = term if prev is None else prev + term
