@@ -347,6 +347,38 @@ def test_q_tables_are_pinned():
     )
 
 
+def test_nrs_set_is_one_memoized_frozenset():
+    """The nrs locus of w is held as one memoized frozenset, its maximal
+    points: every nrs(w, x) query reads it without recomputing it."""
+    w = parse_word("0120120102")
+    maximal_nrs.cache_clear()
+    assert isinstance(maximal_nrs(w), frozenset)
+    misses = maximal_nrs.cache_info().misses
+    assert [x for x in interval(w) if nrs(w, x)]
+    info = maximal_nrs.cache_info()
+    assert info.misses == misses and info.hits == len(interval(w))
+
+
+def test_spiral_nrs_set_counts_no_reflections(monkeypatch):
+    """A spiral owner's nrs set is the down-closure of its word-deletion
+    maximal nrs points: q_brute is never called for it."""
+    calls = [0]
+    brute = qstat.q_brute
+
+    def counting(w, x):
+        calls[0] += 1
+        return brute(w, x)
+
+    monkeypatch.setattr(qstat, "q_brute", counting)
+    maximal_nrs.cache_clear()
+    spirals = [w for w in elements_of_length_at_most(12) if is_spiral(w)]
+    assert all(
+        any(nrs(w, x) for x in interval(w)) for w in spirals if length(w) >= 4
+    )
+    assert calls == [0]
+    maximal_nrs.cache_clear()
+
+
 def test_nrs_reads_the_maximal_nrs_points(monkeypatch):
     """For every owner with l <= 12, nrs(w, x) is membership in
     q_table(w).nrs() for every x <= w, and it is answered below the maximal
