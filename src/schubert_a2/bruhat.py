@@ -332,8 +332,13 @@ def interval(w):
 
 def shell_index(h, x):
     """The k with x on the k-shell of the hull (0-shell is the boundary)."""
+    return shell_of(h, x.center())
+
+
+def shell_of(h, center):
+    """shell_index of the element with the given center."""
     # the three trans values read once, inlined
-    cx, cy = x.center()
+    cx, cy = center
     (lo1, hi1), (lo2, hi2), (lot, hit) = h.bounds
     s1, s2, st = cx + 2 * cy, 2 * cx + cy, cx - cy
     m = min(s1 - lo1, hi1 - s1, s2 - lo2, hi2 - s2, st - lot, hit - st)

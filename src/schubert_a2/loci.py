@@ -30,7 +30,7 @@ from .alcove import (
     type_of,
     word_deletions,
 )
-from .bruhat import hull_of, interval, leq, shell_index
+from .bruhat import hull_of, interval, leq, shell_of
 from .qstat import (
     codimension,
     down_closure,
@@ -270,7 +270,7 @@ def locus_report(w):
     The q table is built once and gives the nrs set; a spiral owner's nrs
     set is the down-closure of its closed-form maximal nrs points, and its
     smooth points and both codimensions are read off the maximal points
-    computed here."""
+    computed here.  A record's length is that of x's reduced word."""
     tab = q_table(w)
     nrs_members = tab.nrs()
     words = format_words(tab.entries)
@@ -282,15 +282,16 @@ def locus_report(w):
         smooth = smooth_points(w)
     h = hull_of(w)
     records = []
-    for x in sorted(words, key=lambda x: (length(x), words[x])):
+    for x in sorted(words, key=lambda x: (len(words[x]), words[x])):
+        word = words[x]
         records.append(
             {
-                "x": words[x],
-                "length": length(x),
+                "x": word,
+                "length": len(word),
                 "q": tab.q(x),
                 "nrs": x in nrs_members,
                 "smooth": x in smooth,
-                "shell": shell_index(h, x),
+                "shell": shell_of(h, x.center()),
                 "maximal_nrs": x in max_nrs,
                 "maximal_singular": x in max_sing,
             }

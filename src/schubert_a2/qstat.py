@@ -58,7 +58,7 @@ from .bruhat import (
     interval,
     leq,
     require_below,
-    shell_index,
+    shell_of,
     special_segments,
     string_centers,
     trans,
@@ -123,7 +123,7 @@ def _base4_geometry(w):
         out = []
         for x in interval(w):
             c = x.center()
-            if trans(c, d) == value and shell_index(hx, x) >= 2:
+            if trans(c, d) == value and shell_of(hx, c) >= 2:
                 out.append(c)
         out.sort(key=lambda c: pairing(c, d))
         return out
@@ -139,9 +139,8 @@ def _base4_geometry(w):
     return _Base4Geometry(lines, red, blue)
 
 
-def _base4_interior_value(w, x):
+def _base4_interior_value(w, c):
     geom = _base4_geometry(w)
-    c = x.center()
     if geom.in_red(c):
         return 2
     for i in (1, 2):
@@ -155,7 +154,7 @@ def _base4_interior_value(w, x):
             assert orientation(seg[-1]) == end, "blue segment ends differ"
             return 2 if orientation(c) == end else 1
     raise AssertionError(
-        "interior alcove %s of %s not in the red/green/blue partition" % (x, w)
+        "interior center %s of %s not in the red/green/blue partition" % (c, w)
     )
 
 
@@ -191,14 +190,14 @@ class _Level:
         )
 
 
-def _shell_value(level, x, k):
-    """q on the k-shell of the level's owner, by chamber parity and type;
-    only a base case is asked about its interior (k >= 3)."""
+def _shell_value(level, c, k):
+    """q at the center c on the k-shell of the level's owner, by chamber
+    parity and type; only a base case is asked about its interior (k >= 3)."""
     hx, t = level.hull, level.type
     if hx.parity == "even":
         return 0 if t == 1 or k <= 1 else 1
     if k <= 1 or (k == 2 and t == 1):
-        return 1 if x.center() in level.special else 0
+        return 1 if c in level.special else 0
     if t == 1:
         return 1
     if k == 2:
@@ -207,19 +206,20 @@ def _shell_value(level, x, k):
         # the root gamma of the third hyperplane.
         d = hx.hyperplanes[2].root
         lo, hi = hx.bounds[POSITIVE_ROOTS.index(d)]
-        return 2 if trans(x.center(), d) in (lo + 6, hi - 6) else 1
-    return _base4_interior_value(level.owner, x)
+        return 2 if trans(c, d) in (lo + 6, hi - 6) else 1
+    return _base4_interior_value(level.owner, c)
 
 
 def _q_walk(top, x):
     """(q, provenance tag) of x below the chain's top owner: x moves down
     while on the 3-shell or deeper and above the base case, 2 per level."""
     level, j = top, 0
-    k = shell_index(level.hull, x)
+    c = x.center()
+    k = shell_of(level.hull, c)
     while k >= 3 and not level.is_base:
         level, j = level.below, j + 1
-        k = shell_index(level.hull, x)
-    q = _shell_value(level, x, k) + 2 * j
+        k = shell_of(level.hull, c)
+    q = _shell_value(level, c, k) + 2 * j
     if j:
         return q, "translation"
     return q, "base-case" if top.is_base else "outer-shell"
@@ -265,7 +265,7 @@ class QTable(NamedTuple):
             "owner": format_word(self.owner),
             "entries": [
                 {"x": words[x], "q": self.entries[x][0], "tag": self.entries[x][1]}
-                for x in sorted(words, key=lambda x: (length(x), words[x]))
+                for x in sorted(words, key=lambda x: (len(words[x]), words[x]))
             ],
         }
 

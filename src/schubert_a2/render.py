@@ -5,6 +5,14 @@ units per alcove edge, and overlays any subset of layers: fundamental
 strips, a hull outline, shells, a q-value heatmap, smooth and nrs shading,
 special segments, and diagonals.  Output is plain SVG 1.1 with no external
 references; identical inputs produce identical bytes.
+
+The lattice is scanned row by row: a row p1 with p1 mod 3 nonzero holds the
+centers with p2 = p1 mod 3.  Each alcove's corners are built once as integer
+keys (2a + b, b) of the scaled corner (a, b): pixel x depends on 2a + b
+alone and grows with it, pixel y depends on b alone and falls as b grows.
+So the viewBox comes from the extreme keys, and each distinct x and y is
+formatted once per call, with the same float expressions as _xy, so the
+bytes are those of formatting every corner on its own.
 """
 
 from __future__ import annotations
@@ -16,11 +24,10 @@ from typing import NamedTuple
 
 from .alcove import (
     POSITIVE_ROOTS,
-    display_word,
+    SIMPLES,
     element_from_center,
-    is_center,
+    format_words,
     is_spiral,
-    orientation,
     parse_word,
 )
 from .bruhat import Hexagon, diagonal_centers, hull_of, line_meet, special_segments
@@ -100,27 +107,40 @@ class RenderSpec(NamedTuple):
     labels: str = "none"  # "none" | "q-values" | "words"
 
 
+def _px(key):
+    """Pixel x of a scaled point (a, b) with key 2a + b: increasing in key."""
+    return EDGE * key / 6.0
+
+
+def _py(b):
+    """Pixel y of a scaled point (a, b) (y grows downward): decreasing in b."""
+    return -EDGE * _SQRT3 / 6.0 * b
+
+
 def _xy(point):
-    """Pixel position of a scaled coordinate pair (y grows downward)."""
-    x = EDGE * (2 * point[0] + point[1]) / 6.0
-    y = -EDGE * _SQRT3 / 6.0 * point[1]
-    return x, y
+    """Pixel position of a scaled coordinate pair."""
+    return _px(2 * point[0] + point[1]), _py(point[1])
 
 
 def _fmt(v):
     return "%.2f" % (v + 0.0)
 
 
-def _corner_points(center):
-    if orientation(center) == "up":
-        offs = ((-1, -1), (-1, 2), (2, -1))
-    else:
-        offs = ((1, 1), (1, -2), (-2, 1))
-    return [(center[0] + dx, center[1] + dy) for dx, dy in offs]
+def _corner_keys(center):
+    """The (2a + b, b) keys of the corners (a, b) of a center's alcove."""
+    p1, p2 = center
+    k = 2 * p1 + p2
+    if p1 % 3 == 1:  # up
+        return ((k - 3, p2 - 1), (k, p2 + 2), (k + 3, p2 - 1))
+    return ((k + 3, p2 + 1), (k, p2 - 2), (k - 3, p2 + 1))
 
 
-def _polygon(points, fill="none", stroke="none", width=1.0, dash=None):
-    coords = " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in points)
+def _coords(points):
+    return " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in points)
+
+
+def _polygon(coords, fill="none", stroke="none", width=1.0, dash=None):
+    """A polygon element; coords is its formatted "x,y x,y ..." list."""
     extra = ' stroke-dasharray="6,4"' if dash else ""
     return (
         '<polygon points="%s" fill="%s" stroke="%s" stroke-width="%s"%s/>'
@@ -149,13 +169,31 @@ def _auto_viewport(owner):
 
 
 def _centers_in_viewport(vp):
+    """The centers of the viewport box, row by row: a row p1 with p1 mod 3
+    nonzero holds the p2 with p2 = p1 mod 3, every third integer."""
     p1min, p2min, p1max, p2max = vp
     return [
         (p1, p2)
         for p1 in range(p1min, p1max + 1)
-        for p2 in range(p2min, p2max + 1)
-        if is_center((p1, p2))
+        if p1 % 3
+        for p2 in range(p2min + (p1 - p2min) % 3, p2max + 1, 3)
     ]
+
+
+def _word_elements(words):
+    """{word: element} for the words of a LocusReport's records, in order.
+    A word whose prefix one letter shorter came first is that prefix's
+    element times one simple reflection; any other word is parsed.  The
+    report lists its words shortest first and they are prefix-closed, so
+    each costs one product."""
+    out = {}
+    for word in words:
+        head = out.get(word[:-1]) if word else None
+        if head is not None and word[-1] in "012":
+            out[word] = head * SIMPLES[int(word[-1])]
+        else:
+            out[word] = parse_word(word)
+    return out
 
 
 def render(spec, payload):
@@ -164,37 +202,39 @@ def render(spec, payload):
     colors = _colors()
     vp = _auto_viewport(owner)
     centers = _centers_in_viewport(vp)
-    corners = [xy for c in centers for xy in (_xy(p) for p in _corner_points(c))]
-    xs = [p[0] for p in corners]
-    ys = [p[1] for p in corners]
-    x0, y0 = min(xs) - 10, min(ys) - 10
-    width, height = max(xs) - x0 + 10, max(ys) - y0 + 10
+    cells = [_corner_keys(c) for c in centers]
+    keys = {k for cell in cells for k, _ in cell}
+    bs = {b for cell in cells for _, b in cell}
+    x0, y0 = _px(min(keys)) - 10, _py(max(bs)) - 10
+    width, height = _px(max(keys)) - x0 + 10, _py(min(bs)) - y0 + 10
 
     body = []
     layers = set(spec.layers)
 
+    qs = {}  # center -> q, read by the heatmap and the q-value labels
+    if isinstance(payload, QTable) and ("q-heatmap" in layers or spec.labels == "q-values"):
+        qs = {x.center(): q for x, (q, _tag) in payload.entries.items()}
     fills = {}
-    if "q-heatmap" in layers and isinstance(payload, QTable):
+    if "q-heatmap" in layers:
         heat = colors["heat"]
-        for x, (q, _tag) in payload.entries.items():
-            fills[x.center()] = heat[min(q, len(heat) - 1)]
-    if isinstance(payload, LocusReport):
+        fills = {c: heat[min(q, len(heat) - 1)] for c, q in qs.items()}
+    if isinstance(payload, LocusReport) and "smooth" in layers:
         by_word = {r["x"]: r for r in payload.records}
-        for word, rec in by_word.items():
-            c = parse_word(word).center()
-            if "smooth" in layers and rec["smooth"]:
-                fills[c] = colors["smooth"]
-            elif "smooth" in layers and rec["nrs"]:
-                fills[c] = colors["nrs"]
-
-    for c in centers:
+        for word, x in _word_elements(by_word).items():
+            rec = by_word[word]
+            if rec["smooth"]:
+                fills[x.center()] = colors["smooth"]
+            elif rec["nrs"]:
+                fills[x.center()] = colors["nrs"]
+    stroke = colors["lattice"] if "lattice" in layers else "none"
+    xstr = {k: _fmt(_px(k)) for k in keys}
+    ystr = {b: _fmt(_py(b)) for b in bs}
+    for c, cell in zip(centers, cells):
         fill = fills.get(c, "none")
-        stroke = colors["lattice"] if "lattice" in layers else "none"
         if fill == "none" and stroke == "none":
             continue
-        body.append(
-            _polygon([_xy(p) for p in _corner_points(c)], fill=fill, stroke=stroke)
-        )
+        coords = " ".join(xstr[k] + "," + ystr[b] for k, b in cell)
+        body.append(_polygon(coords, fill=fill, stroke=stroke))
 
     if "chambers" in layers:
         # fundamental strip boundaries: the lines (d, v) = 0 and 1
@@ -207,7 +247,7 @@ def render(spec, payload):
     hull = hull_of(owner)
     if "hexagon" in layers and len(hull.vertices) > 1:
         ring = [_xy(v.center()) for v in hull.vertices]
-        body.append(_polygon(ring, stroke=colors["hexagon"], width=2.5))
+        body.append(_polygon(_coords(ring), stroke=colors["hexagon"], width=2.5))
 
     if "shells" in layers:
         k = 1
@@ -215,7 +255,7 @@ def render(spec, payload):
             ring = _shell_ring(hull, k)
             if ring is None:
                 break
-            body.append(_polygon(ring, stroke=colors["shell"], width=1.2, dash=True))
+            body.append(_polygon(_coords(ring), stroke=colors["shell"], width=1.2, dash=True))
             k += 1
 
     if not is_spiral(owner) and ("special-segments" in layers or "diagonals" in layers):
@@ -233,25 +273,22 @@ def render(spec, payload):
                         _line(_xy(seg[0]), _xy(seg[-1]), colors["special"], 4.0)
                     )
 
-    if spec.labels != "none":
-        qmap = payload.entries if isinstance(payload, QTable) else None
-        for c in centers:
-            if spec.labels == "q-values":
-                if qmap is None:
-                    break
-                x = element_from_center(c)
-                if x not in qmap:
-                    continue
-                text = str(qmap[x][0])
-            else:
-                text = display_word(element_from_center(c))
-                if len(text) > 6:
-                    continue
-            px, py = _xy(c)
-            body.append(
-                '<text x="%s" y="%s" font-size="9" text-anchor="middle" fill="%s">%s</text>'
-                % (_fmt(px), _fmt(py + 3), colors["label"], text)
-            )
+    labels = {}
+    if spec.labels == "q-values":
+        labels = {c: str(q) for c, q in qs.items()}
+    elif spec.labels != "none":
+        xs = [element_from_center(c) for c in centers]
+        words = format_words(xs)
+        labels = {c: words[x] or "e" for c, x in zip(centers, xs) if len(words[x]) <= 6}
+    for c in centers:
+        text = labels.get(c)
+        if text is None:
+            continue
+        px, py = _xy(c)
+        body.append(
+            '<text x="%s" y="%s" font-size="9" text-anchor="middle" fill="%s">%s</text>'
+            % (_fmt(px), _fmt(py + 3), colors["label"], text)
+        )
 
     return (
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -12,6 +12,9 @@ bounds, and it takes any scaled point, wall points included.
 interval is the reference for bruhat.interval's rows: it scans the hull's
 bounding box and tests every candidate with is_center and contains.
 
+centers_in_box is the reference for render._centers_in_viewport's rows:
+it tests every integer point of the box with is_center.
+
 lookup_holds is the reference for qstat.lookup_holds's arithmetic: it
 turns every reflection partner into an element and compares lengths to
 find the partners above x, and closes the nrs set downward pair by pair
@@ -160,6 +163,18 @@ def interval(w):
             if is_center(c) and contains(h, c):
                 out.append(element_from_center(c))
     return set(out)
+
+
+def centers_in_box(vp):
+    """The centers of the box (p1min, p2min, p1max, p2max), by testing every
+    integer point, row by row."""
+    p1min, p2min, p1max, p2max = vp
+    return [
+        (p1, p2)
+        for p1 in range(p1min, p1max + 1)
+        for p2 in range(p2min, p2max + 1)
+        if is_center((p1, p2))
+    ]
 
 
 def lookup_holds(w):
