@@ -25,14 +25,13 @@ from .alcove import (
     word_to_element,
 )
 from .bruhat import (
-    Hexagon,
-    degenerate_hull,
+    Hull,
     hexagon,
     hull_of,
     interval,
     leq,
     leq_oracle,
-    shell_index,
+    shell_of,
 )
 from .kumar import (
     equivariant_multiplicity,

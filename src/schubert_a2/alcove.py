@@ -426,7 +426,7 @@ _CHAMBER_PARITY = {1: "odd", 2: "even", 3: "odd", 4: "even", 5: "odd", 6: "even"
 # Chamber axis root (the root pointing into the chamber).
 _CHAMBER_ROOT = {1: AT, 2: A2, 3: (-1, 0), 4: (-1, -1), 5: (0, -1), 6: A1}
 
-# Hexagon data per chamber: wall counterclockwise from the chamber interior,
+# The hexagon's hyperplanes per chamber: wall counterclockwise from the chamber interior,
 # wall clockwise, and the third hyperplane H_{g,k} nearest the chamber.
 _CHAMBER_WALLS = {
     1: ((A1, 1), (A2, 1), (AT, 1)),

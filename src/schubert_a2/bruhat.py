@@ -15,11 +15,13 @@ slab bounds and those six boxes, and Hull.contains(x), the one
 membership test, compares x's coordinates with the box of its finite part;
 leq(x, w) is hull_of(w).contains(x).
 
-A Hexagon carries the same fields, so it serves as the hull of its
-owner's interval, and hull_of is the one memo of hulls: the Hexagon off
-the strips, degenerate_hull on them.  Lines are (direction, trans value)
-pairs; line_meet intersects two of them exactly, and triangle_test
-decides membership in the closed triangle that three of them cut out.
+Hull is the one hull type and hull_of the one builder and memo: off the
+strips the hull is the Bruhat hexagon and also carries its three
+hyperplanes and chamber parity, on them it is the spiral quadrilateral
+or chain with neither.  shell_of reads a center's shell off the slab
+bounds.  Lines are (direction, trans value) pairs; line_meet intersects
+two of them exactly, and triangle_test decides membership in the closed
+triangle that three of them cut out.
 
 Along a root string in direction d the centers are p + t * unit(d) for
 integers t outside one residue class mod 3, and a step in t moves the other
@@ -163,13 +165,22 @@ def centers_between(p, q):
 
 
 class Hull(NamedTuple):
-    """Convex hull of a Bruhat interval: vertex elements, slab bounds, and
-    the same slabs as lattice boxes."""
+    """Convex hull of a Bruhat interval: vertex elements round the ring
+    from the owner, slab bounds, and the same slabs as lattice boxes.
+
+    Off the strips the hull is the Bruhat hexagon: its vertices run
+    counterclockwise, hyperplanes holds the two chamber walls
+    (counterclockwise one first) and the third hyperplane closest to the
+    owner, each as a Reflection, and parity is the owner's chamber parity.
+    A spiral hull has () and "" there.
+    """
 
     owner: object
     vertices: tuple
     bounds: tuple  # ((lo, hi) per direction, in POSITIVE_ROOTS order)
     boxes: tuple  # per finite part f, (lo, hi) of l1, then l0, then l0 - l1
+    hyperplanes: tuple = ()
+    parity: str = ""
 
     def contains(self, x):
         """Whether the element x = t(l0, l1) * f lies in the hull: three
@@ -183,26 +194,6 @@ class Hull(NamedTuple):
         a = self.vertices[i].center()
         b = self.vertices[(i + 1) % len(self.vertices)].center()
         return centers_between(a, b)
-
-
-class Hexagon(NamedTuple):
-    """The Bruhat hexagon of a non-spiral element, which is also its hull.
-
-    vertices[0] is the owner; vertices run counterclockwise.  hyperplanes
-    holds the two chamber walls (counterclockwise one first) and the third
-    hyperplane closest to the owner, each as a Reflection.  bounds and
-    boxes are the slab bounds of the hull and its lattice boxes, as in Hull.
-    """
-
-    owner: object
-    hyperplanes: tuple
-    vertices: tuple
-    parity: str
-    bounds: tuple
-    boxes: tuple
-
-    contains = Hull.contains
-    edge = Hull.edge
 
 
 def _bounds(vertices):
@@ -235,44 +226,25 @@ def hexagon(w):
 
 @functools.cache
 def hull_of(w):
-    """The hull of the interval below w: its Hexagon off the strips, and
-    degenerate_hull(w) on them."""
-    if is_spiral(w):
-        return degenerate_hull(w)
-    (a, i), (b, j), (g, k) = chamber_walls(chamber_of(w))
-    ra = Reflection(a, i).element()
-    rb = Reflection(b, j).element()
-    rg = Reflection(g, k).element()
-    w1 = ra * w
-    w5 = rb * w
-    w3 = rg * w
-    w2 = rg * w1
-    w4 = rg * w5
-    vertices = (w, w1, w2, w3, w4, w5)
-    bounds, boxes = _bounds(vertices)
-    return Hexagon(
-        owner=w,
-        hyperplanes=(Reflection(a, i), Reflection(b, j), Reflection(g, k)),
-        vertices=vertices,
-        parity=chamber_parity(w),
-        bounds=bounds,
-        boxes=boxes,
-    )
+    """The hull of the interval below w.
 
-
-def degenerate_hull(w):
-    """The hull of a spiral element: a quadrilateral, or a chain for l <= 1.
-
-    For length at least 2 the vertices are w, r*w, r'r*w, rr'r*w where r, r'
-    are the finite reflections s_i, s_j named by the first two letters i, j
-    of the unique reduced word of w; the six half-strips are carried to each
-    other by the diagram symmetries, which permute the letters.
+    Off the strips its vertices are w, w1 = ra*w, w2 = rg*w1, w3 = rg*w,
+    w4 = rg*w5, w5 = rb*w for the reflections ra, rb in the chamber walls
+    and rg in the third hyperplane.  On them, for length at least 2, they
+    are w, si*w, si*v3, v3 = si*sj*si*w, where si, sj are the finite
+    reflections named by the first two letters i, j of the unique reduced
+    word of w (the six half-strips are carried to each other by the
+    diagram symmetries, which permute the letters); for l <= 1 the hull
+    is the chain down to e.
     """
     if not is_spiral(w):
-        raise ValueError("not a spiral element: %s" % (w,))
-    n = length(w)
-    if n <= 1:
-        vertices = (w,) if n == 0 else (w, E)
+        hyperplanes = tuple(Reflection(*wall) for wall in chamber_walls(chamber_of(w)))
+        ra, rb, rg = (r.element() for r in hyperplanes)
+        w1, w5 = ra * w, rb * w
+        vertices = (w, w1, rg * w1, rg * w, rg * w5, w5)
+        return Hull(w, vertices, *_bounds(vertices), hyperplanes, chamber_parity(w))
+    if length(w) <= 1:
+        vertices = (w,) if w == E else (w, E)
     else:
         i, j = half_strip_pattern(w)
         si, sj = SIMPLES[i], SIMPLES[j]
@@ -330,13 +302,10 @@ def interval(w):
     return out
 
 
-def shell_index(h, x):
-    """The k with x on the k-shell of the hull (0-shell is the boundary)."""
-    return shell_of(h, x.center())
-
-
 def shell_of(h, center):
-    """shell_index of the element with the given center."""
+    """The k with the given center on the k-shell of hull h (the 0-shell is
+    its boundary); a ValueError if the center lies outside h.  For an
+    element x, call shell_of(h, x.center())."""
     # the three trans values read once, inlined
     cx, cy = center
     (lo1, hi1), (lo2, hi2), (lot, hit) = h.bounds
@@ -372,7 +341,7 @@ def diagonal_centers(hexagon_, i):
 
 def special_segments(hexagon_):
     """Centers of the special segments on the special edges w1-w2 and w4-w5
-    of an odd-chamber hexagon ([] if even).
+    of an odd-chamber hexagon ([] for an even one or a spiral hull).
 
     A segment runs between the alcoves two in from each end of its edge,
     inclusive; it is nonempty exactly when the edge holds at least six

@@ -23,7 +23,7 @@ from .bruhat import NotComparableError, hexagon, hexagon_to_dict, leq, leq_oracl
 from .kumar import equivariant_multiplicity, kumar_smooth
 from .loci import enumerate_smooth_varieties, locus_report
 from .qstat import q_table, q_value
-from .render import LAYERS, ConfigError, RenderSpec, render
+from .render import LABELS, LAYERS, ConfigError, RenderSpec, render, validate_spec
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -81,7 +81,7 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--layers", default="lattice,hexagon",
                    help="comma list from: %s" % ",".join(LAYERS))
-    p.add_argument("--labels", default="none", choices=["none", "q-values", "words"])
+    p.add_argument("--labels", default="none", choices=LABELS)
     p.add_argument("--payload", default="hexagon", choices=["hexagon", "q", "locus"])
     return parser
 
@@ -222,18 +222,18 @@ def _cmd_verify(args):
 
 def _cmd_render(args):
     w = parse_word(args.w)
-    layers = tuple(s for s in args.layers.split(",") if s)
-    for layer in layers:
-        if layer not in LAYERS:
-            print("error: unknown layer %r" % layer, file=sys.stderr)
-            return EXIT_PARSE
+    spec = RenderSpec(layers=tuple(s for s in args.layers.split(",") if s), labels=args.labels)
+    try:
+        validate_spec(spec)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_PARSE
     if args.payload == "hexagon":
         payload = hexagon(w)
     elif args.payload == "q":
         payload = q_table(w)
     else:
         payload = locus_report(w)
-    spec = RenderSpec(layers=layers, labels=args.labels)
     try:
         doc = render(spec, payload)
         with open(args.out, "w") as fh:

@@ -253,7 +253,10 @@ def short_edge_family():
 # Per-owner report.
 
 class LocusReport(NamedTuple):
+    """Per-owner locus data: members[i] is the element x of records[i]."""
+
     owner: object
+    members: list
     records: list
     summary: dict
 
@@ -281,8 +284,9 @@ def locus_report(w):
     else:
         smooth = smooth_points(w)
     h = hull_of(w)
+    members = sorted(words, key=lambda x: (len(words[x]), words[x]))
     records = []
-    for x in sorted(words, key=lambda x: (len(words[x]), words[x])):
+    for x in members:
         word = words[x]
         records.append(
             {
@@ -304,4 +308,4 @@ def locus_report(w):
         "singular_codimension": codimension(w, max_sing),
         "smooth_point_count": count,
     }
-    return LocusReport(w, records, summary)
+    return LocusReport(w, members, records, summary)

@@ -22,15 +22,8 @@ import math
 import os
 from typing import NamedTuple
 
-from .alcove import (
-    POSITIVE_ROOTS,
-    SIMPLES,
-    element_from_center,
-    format_words,
-    is_spiral,
-    parse_word,
-)
-from .bruhat import Hexagon, diagonal_centers, hull_of, line_meet, special_segments
+from .alcove import POSITIVE_ROOTS, element_from_center, format_words
+from .bruhat import Hull, diagonal_centers, hull_of, line_meet, special_segments
 from .loci import LocusReport
 from .qstat import QTable
 
@@ -44,6 +37,7 @@ LAYERS = (
     "special-segments",
     "diagonals",
 )
+LABELS = ("none", "q-values", "words")
 
 EDGE = 40  # pixels per alcove edge
 _SQRT3 = math.sqrt(3.0)
@@ -104,7 +98,17 @@ class RenderSpec(NamedTuple):
     """What to draw: layers and label mode; the viewport fits the owner."""
 
     layers: tuple = ("lattice", "hexagon")
-    labels: str = "none"  # "none" | "q-values" | "words"
+    labels: str = "none"  # one of LABELS
+
+
+def validate_spec(spec):
+    """Raise ValueError unless every layer is in LAYERS and the label mode
+    is in LABELS."""
+    for layer in spec.layers:
+        if layer not in LAYERS:
+            raise ValueError("unknown layer %r" % (layer,))
+    if spec.labels not in LABELS:
+        raise ValueError("unknown label mode %r" % (spec.labels,))
 
 
 def _px(key):
@@ -156,7 +160,7 @@ def _line(a, b, stroke, width=1.0, dash=None):
 
 
 def _payload_owner(payload):
-    if isinstance(payload, (Hexagon, QTable, LocusReport)):
+    if isinstance(payload, (Hull, QTable, LocusReport)):
         return payload.owner
     raise TypeError("unsupported payload %r" % (payload,))
 
@@ -180,24 +184,10 @@ def _centers_in_viewport(vp):
     ]
 
 
-def _word_elements(words):
-    """{word: element} for the words of a LocusReport's records, in order.
-    A word whose prefix one letter shorter came first is that prefix's
-    element times one simple reflection; any other word is parsed.  The
-    report lists its words shortest first and they are prefix-closed, so
-    each costs one product."""
-    out = {}
-    for word in words:
-        head = out.get(word[:-1]) if word else None
-        if head is not None and word[-1] in "012":
-            out[word] = head * SIMPLES[int(word[-1])]
-        else:
-            out[word] = parse_word(word)
-    return out
-
-
 def render(spec, payload):
-    """Render a Hexagon, QTable, or LocusReport to an SVG document string."""
+    """Render a Hull, QTable, or LocusReport to an SVG document string; a
+    spec that validate_spec rejects is a ValueError."""
+    validate_spec(spec)
     owner = _payload_owner(payload)
     colors = _colors()
     vp = _auto_viewport(owner)
@@ -219,9 +209,7 @@ def render(spec, payload):
         heat = colors["heat"]
         fills = {c: heat[min(q, len(heat) - 1)] for c, q in qs.items()}
     if isinstance(payload, LocusReport) and "smooth" in layers:
-        by_word = {r["x"]: r for r in payload.records}
-        for word, x in _word_elements(by_word).items():
-            rec = by_word[word]
+        for x, rec in zip(payload.members, payload.records):
             if rec["smooth"]:
                 fills[x.center()] = colors["smooth"]
             elif rec["nrs"]:
@@ -258,25 +246,22 @@ def render(spec, payload):
             body.append(_polygon(_coords(ring), stroke=colors["shell"], width=1.2, dash=True))
             k += 1
 
-    if not is_spiral(owner) and ("special-segments" in layers or "diagonals" in layers):
-        if "diagonals" in layers:
-            for i in range(6):
-                pts = diagonal_centers(hull, i)
-                if len(pts) >= 2:
-                    body.append(
-                        _line(_xy(pts[0]), _xy(pts[-1]), colors["diagonal"], 1.0, dash=True)
-                    )
-        if "special-segments" in layers:
-            for seg in special_segments(hull):
-                if seg:
-                    body.append(
-                        _line(_xy(seg[0]), _xy(seg[-1]), colors["special"], 4.0)
-                    )
+    if "diagonals" in layers and hull.hyperplanes:
+        for i in range(6):
+            pts = diagonal_centers(hull, i)
+            if len(pts) >= 2:
+                body.append(
+                    _line(_xy(pts[0]), _xy(pts[-1]), colors["diagonal"], 1.0, dash=True)
+                )
+    if "special-segments" in layers:
+        for seg in special_segments(hull):
+            if seg:
+                body.append(_line(_xy(seg[0]), _xy(seg[-1]), colors["special"], 4.0))
 
     labels = {}
     if spec.labels == "q-values":
         labels = {c: str(q) for c, q in qs.items()}
-    elif spec.labels != "none":
+    elif spec.labels == "words":
         xs = [element_from_center(c) for c in centers]
         words = format_words(xs)
         labels = {c: words[x] or "e" for c, x in zip(centers, xs) if len(words[x]) <= 6}

@@ -28,9 +28,9 @@ from schubert_a2.alcove import (
     word_to_element,
 )
 from schubert_a2.bruhat import (
+    Hull,
     centers_between,
     chords,
-    degenerate_hull,
     diagonal_centers,
     diagonal_direction,
     hexagon,
@@ -41,7 +41,7 @@ from schubert_a2.bruhat import (
     leq_oracle,
     line_meet,
     oracle_interval,
-    shell_index,
+    shell_of,
     special_segments,
     string_direction,
     trans,
@@ -166,8 +166,25 @@ def test_spiral_hexagon_raises():
 
 def test_degenerate_hull_small_chain():
     assert {x.center() for x in interval(S1)} == {E.center(), S1.center()}
-    h = degenerate_hull(S1)
+    h = hull_of(S1)
     assert len(h.vertices) == 2
+
+
+def test_one_hull_type_on_and_off_the_strips():
+    """hull_of builds a Hull for every owner with l <= 12: off the strips it
+    is the hexagon, with three hyperplanes and the chamber parity; on them
+    it has neither, no special segments, and 1, 2 or 4 vertices."""
+    for w in ELEMENTS_12:
+        h = hull_of(w)
+        assert type(h) is Hull
+        if not is_spiral(w):
+            assert hexagon(w) is h
+            assert len(h.vertices) == 6 and len(h.hyperplanes) == 3
+            assert h.parity == chamber_parity(w)
+        else:
+            assert h.hyperplanes == () and h.parity == ""
+            assert special_segments(h) == []
+            assert len(h.vertices) == {0: 1, 1: 2}.get(length(w), 4), format_word(w)
 
 
 def test_spiral_hull_matches_oracle():
@@ -188,22 +205,22 @@ def test_even_alcove_counts_on_edges():
 def test_shells():
     # the owner is a vertex: shell 0
     for w in [x for x in ELEMENTS if not is_spiral(x)][:40]:
-        assert shell_index(hull_of(w), w) == 0
+        assert shell_of(hull_of(w), w.center()) == 0
     # shells partition the interval and are nested
     random.seed(9)
     for w in random.sample([x for x in ELEMENTS if not is_spiral(x) and length(x) >= 6], 15):
         h = hull_of(w)
         members = interval(w)
-        ks = {x: shell_index(h, x) for x in members}
+        ks = {x: shell_of(h, x.center()) for x in members}
         assert min(ks.values()) == 0
         assert set(ks.values()) == set(range(max(ks.values()) + 1))
     # outside the hull is an error
     with pytest.raises(ValueError):
-        shell_index(hull_of(S1), parse_word("0121"))
+        shell_of(hull_of(S1), parse_word("0121").center())
 
 
 def test_shell_index_is_the_least_slab_distance():
-    """shell_index is the least of min(trans - lo, hi - trans) // 3 over the
+    """shell_of is the least of min(trans - lo, hi - trans) // 3 over the
     three directions, for every x <= w with l <= 12; a center off the hull is
     a ValueError."""
     for w in ELEMENTS_12:
@@ -214,14 +231,14 @@ def test_shell_index_is_the_least_slab_distance():
                 min(trans(c, d) - lo, hi - trans(c, d)) // 3
                 for d, (lo, hi) in zip(POSITIVE_ROOTS, h.bounds)
             )
-            assert shell_index(h, x) == want, (format_word(w), format_word(x))
+            assert shell_of(h, c) == want, (format_word(w), format_word(x))
     random.seed(5)
     for w in random.sample(ELEMENTS_12, 30):
         h = hull_of(w)
         for x in ELEMENTS_12:
             if not leq(x, w):
                 with pytest.raises(ValueError):
-                    shell_index(h, x)
+                    shell_of(h, x.center())
 
 
 def _edge_scan_direction(hx, i):

@@ -215,6 +215,16 @@ def test_render_bad_layer(tmp_path, capture):
     assert code == 2 and "unknown layer" in err
 
 
+def test_render_spec_is_checked_before_the_payload(tmp_path, capture):
+    """A bad layer on a spiral owner is malformed input (2), found before
+    the hexagon payload's spiral precondition (3)."""
+    out = tmp_path / "x.svg"
+    code, _, err = capture("render", "012", "--out", str(out), "--layers", "lattice,hexgon")
+    assert code == 2 and err == "error: unknown layer 'hexgon'\n"
+    code, _, _ = capture("render", "012", "--out", str(out))
+    assert code == 3 and not out.exists()
+
+
 def test_render_out_in_missing_directory(tmp_path, capture):
     out = tmp_path / "missing" / "x.svg"
     code, stdout, err = capture("render", "0121", "--out", str(out))

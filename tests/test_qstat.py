@@ -39,7 +39,7 @@ from schubert_a2.bruhat import (
     interval,
     leq,
     oracle_interval,
-    shell_index,
+    shell_of,
     trans,
     triangle_test,
 )
@@ -118,7 +118,7 @@ def test_outer_shell_values():
         h = hull_of(w)
         tab = q_table(w)
         for x in tab.entries:
-            k = shell_index(h, x)
+            k = shell_of(h, x.center())
             if k > 2:
                 continue
             q = tab.q(x)
@@ -146,7 +146,7 @@ def test_base_cases():
         if par == "odd" and t == 2 and length(w) == 5:
             h = hull_of(w)
             for x, (q, _) in tab.entries.items():
-                assert q == (2 if shell_index(h, x) >= 2 else 0)
+                assert q == (2 if shell_of(h, x.center()) >= 2 else 0)
         assert all(tag == "base-case" for _, tag in tab.entries.values())
 
 
@@ -210,7 +210,7 @@ def test_q_lower_bounds_inside():
         h = hull_of(w)
         tab = q_table(w)
         for x in tab.entries:
-            k = shell_index(h, x)
+            k = shell_of(h, x.center())
             if k >= 3:
                 assert tab.q(x) >= 2
             if k == 2 and type_of(w) == 2:
@@ -537,7 +537,7 @@ def shell_profile_consistent(w):
     for x in tab.entries:
         if any(in_triangle((x * u).center()) for u in rw):
             continue
-        k = shell_index(hx, x)
+        k = shell_of(hx, x.center())
         expect = 2 * (k // 3) + (1 if (t == 2 and k % 3 == 2) else 0)
         if tab.q(x) != expect:
             return False

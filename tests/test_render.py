@@ -1,5 +1,5 @@
 """Pinned render bytes: the demo figures, one all-layers picture and an
-owner sweep; the viewport's centers against the box scan."""
+owner sweep; the viewport's centers against the box scan; bad specs."""
 
 import hashlib
 import random
@@ -7,9 +7,12 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 import walk
 from schubert_a2 import (
     RenderSpec,
+    format_word,
     format_words,
     hexagon,
     is_spiral,
@@ -84,13 +87,35 @@ def test_viewport_centers_match_the_box_scan():
 
 
 def test_shuffled_locus_report_renders_the_same(monkeypatch):
-    """Records out of order: a word whose prefix has not come yet is parsed."""
+    """(member, record) pairs out of order: the fills read each record's
+    own member, not the report's order."""
     monkeypatch.delenv("SCHUBERT_A2_CONFIG", raising=False)
     spec = RenderSpec(layers=LAYERS, labels="words")
     rng = random.Random(0)
     for text in ("012101201", "0120120", "2102102102102"):
         report = locus_report(parse_word(text))
-        records = list(report.records)
-        rng.shuffle(records)
-        shuffled = LocusReport(report.owner, records, report.summary)
+        pairs = list(zip(report.members, report.records))
+        rng.shuffle(pairs)
+        members, records = (list(t) for t in zip(*pairs))
+        shuffled = LocusReport(report.owner, members, records, report.summary)
         assert render(spec, shuffled) == render(spec, report), text
+
+
+def test_locus_report_members_are_its_record_elements():
+    for text in ("012101201", "2102102102102", ""):
+        report = locus_report(parse_word(text))
+        assert [format_word(x) for x in report.members] == [r["x"] for r in report.records]
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (RenderSpec(labels="q-value"), "unknown label mode 'q-value'"),
+        (RenderSpec(layers=("lattice", "hexgon")), "unknown layer 'hexgon'"),
+    ],
+)
+def test_bad_spec_is_a_value_error(spec, message):
+    """A mistyped label mode or layer is an error, not a words picture or a
+    dropped layer."""
+    with pytest.raises(ValueError, match=message):
+        render(spec, hexagon(parse_word("0121")))
