@@ -74,7 +74,6 @@ def _build_parser():
     p = add("verify", "run the verification suites")
     p.add_argument("--max-length", type=int, default=12)
     p.add_argument("--suite", choices=sorted(SUITES), default="all")
-    p.add_argument("--workers", type=int, default=1)
 
     p = add("render", "draw an alcove picture to an SVG file")
     p.add_argument("w")
@@ -193,11 +192,8 @@ def _cmd_verify(args):
         print("error: --max-length must be non-negative, got %d" % args.max_length,
               file=sys.stderr)
         return EXIT_PARSE
-    if args.workers < 1:
-        print("error: --workers must be at least 1, got %d" % args.workers, file=sys.stderr)
-        return EXIT_PARSE
     try:
-        results = run_suite(args.suite, max_length=args.max_length, workers=args.workers)
+        results = run_suite(args.suite, max_length=args.max_length)
     except ValueError as exc:  # a bound that leaves a criterion no owner
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE

@@ -14,7 +14,6 @@ Every row checks exactly the bound it is given, and all checks are exact.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import time
 from typing import NamedTuple
 
@@ -30,7 +29,6 @@ from .alcove import (
     is_twisted_spiral,
     length,
     pairing,
-    parse_word,
     spiral_factorizations,
     translate_into_chamber,
     type_of,
@@ -79,15 +77,16 @@ class CheckResult(NamedTuple):
 class Criterion(NamedTuple):
     name: str
     spiral: object  # which owners: None for all, True/False for (non-)spiral
-    check: object  # word -> names of the identities failing for that owner
+    check: object  # element -> names of the identities failing for that owner
     facts: object = None  # bound -> failed census facts that are not per owner
 
 
 @functools.cache
 def _owners(bound):
-    """(word, is spiral) for every owner of length <= bound, by length then word."""
+    """(word, element, is spiral) for every owner of length <= bound, by
+    length then word."""
     words = format_words(elements_of_length_at_most(bound))
-    owners = [(word, is_spiral(w)) for w, word in words.items()]
+    owners = [(word, w, is_spiral(w)) for w, word in words.items()]
     return tuple(sorted(owners, key=lambda o: (len(o[0]), o[0])))
 
 
@@ -102,34 +101,15 @@ def _reported(check, arg, label=None):
         return [name if label is None else "%s %s" % (name, label)]
 
 
-def _run_row(row, words, bound, workers):
-    """(per-owner failure names, failed facts) of one row; a check or facts
-    hook that raises is reported as "error:<ExceptionType>" for its owner
-    or hook function.  With more than one worker the facts hook is one more
-    task in the same pool, submitted before the per-owner checks so that it
-    overlaps them."""
-    check = functools.partial(_reported, row.check)
-    facts = row.facts and functools.partial(_reported, row.facts, label=row.facts.__name__)
-    if workers <= 1:
-        return list(map(check, words)), facts(bound) if facts else []
-    with multiprocessing.Pool(workers) as pool:
-        pending = pool.apply_async(facts, (bound,)) if facts else None
-        names = pool.map(check, words)
-        return names, pending.get() if pending else []
-
-
-# --- per-owner checks take word strings so they pickle cleanly -------------
-
 @functools.cache
 def _elements(bound):
     """Every element of length <= bound, as a tuple."""
     return tuple(elements_of_length_at_most(bound))
 
 
-def _hull(word):
+def _hull(w):
     # the interval, and leq for every x at most one longer than w, so the
     # elements just outside the hull are asked too
-    w = parse_word(word)
     below = oracle_interval(w)
     bad = [] if interval(w) == below else ["interval"]
     if not all(leq(x, w) == (x in below) for x in _elements(length(w) + 1)):
@@ -137,15 +117,13 @@ def _hull(word):
     return bad
 
 
-def _q(word):
-    w = parse_word(word)
+def _q(w):
     tab = q_table(w)
     ok = all(q == q_brute(w, x) for x, (q, _) in tab.entries.items())
     return [] if ok else ["q-table"]
 
 
-def _translation(word):
-    w = parse_word(word)
+def _translation(w):
     wp = translate_into_chamber(w)
     if length(wp) != length(w) + 4:
         return ["translation-length"]
@@ -154,24 +132,23 @@ def _translation(word):
     return []
 
 
-def _heredity(word):
+def _heredity(w):
     # q > 0 is closed downward, so the existential nrs closure of the q > 0
     # points adds nothing (the trivial lookup).
-    tab = q_table(parse_word(word))
+    tab = q_table(w)
     positive = [x for x in tab.entries if tab.q(x) > 0]
     return [] if down_closure(tab.entries, positive) == set(positive) else ["heredity"]
 
 
-def _lookup(word):
-    return [] if lookup_holds(parse_word(word)) else ["lookup"]
+def _lookup(w):
+    return [] if lookup_holds(w) else ["lookup"]
 
 
-def _kumar(word):
+def _kumar(w):
     # The multiplicity test is the oracle on every owner: smooth_points is
     # the hexagon closed form, or on a spiral owner the complement of the
     # down-closure of its word deletions, and maximal_singular is checked
     # against the maximal points outside the test's smooth set.
-    w = parse_word(word)
     smooth = kumar_smooth_set(w)
     bad = []
     if smooth_points(w) != smooth:
@@ -186,17 +163,17 @@ def _factorizations(bound):
     prefix-trie walk, each table equal to the owner's memoized table; the
     walk's tables never come from that memo."""
     owner_of = {
-        tuple(element_to_word(u) + element_to_word(v)): word
-        for word, spiral in _owners(bound)
+        tuple(element_to_word(u) + element_to_word(v)): w
+        for _, w, spiral in _owners(bound)
         if not spiral
-        for u, v in spiral_factorizations(parse_word(word))
+        for u, v in spiral_factorizations(w)
     }
     bad = {
         owner_of[fw]
         for fw, table in multiplicity_tables(owner_of)
-        if table != multiplicity_table_of(parse_word(owner_of[fw]))
+        if table != multiplicity_table_of(owner_of[fw])
     }
-    return ["factorizations %s" % (word or "e") for word, _ in _owners(bound) if word in bad]
+    return ["factorizations %s" % (word or "e") for word, w, _ in _owners(bound) if w in bad]
 
 
 def _setup_move_holds(w, x, i, side, psi):
@@ -206,9 +183,8 @@ def _setup_move_holds(w, x, i, side, psi):
         return True
 
 
-def _setup(word):
+def _setup(w):
     # Psi(w, x) is built once per member, for its six Setup Moves and |Psi|
-    w = parse_word(word)
     members = interval(w)
     psi = {x: psi_set(w, x) for x in members}
     bad = []
@@ -238,10 +214,9 @@ def _setup(word):
     return bad
 
 
-def _rational_smoothness(word):
+def _rational_smoothness(w):
     # rationally smooth exactly per the four-case closed form, against the
     # reflection count: no x <= w has q(w, x) > 0
-    w = parse_word(word)
     smooth = not any(q_brute(w, x) > 0 for x in interval(w))
     return [] if is_rationally_smooth(w) == smooth else ["rational-smoothness"]
 
@@ -269,11 +244,10 @@ def _even_type1_untwisted(w):
     )
 
 
-def _loci(word):
+def _loci(w):
     # The maximal nrs points, closed forms on and off the strips, against
     # the maximal q > 0 points by the reflection count: the nrs set is the
     # q > 0 set closed downward, so both have the same maximal points.
-    w = parse_word(word)
     n = length(w)
     bad = []
     if maximal_nrs(w) != bruhat_maximal(x for x in interval(w) if q_brute(w, x) > 0):
@@ -312,9 +286,7 @@ def _is_36_point_witness(w):
 
 
 def _36_point_witness(bound):
-    if bound >= 11 and not any(
-        _is_36_point_witness(parse_word(word)) for word, _ in _owners(bound)
-    ):
+    if bound >= 11 and not any(_is_36_point_witness(w) for _, w, _ in _owners(bound)):
         return ["no 36-point witness"]
     return []
 
@@ -332,8 +304,7 @@ def _inversion_count(w):
     return n
 
 
-def _inversions(word):
-    w = parse_word(word)
+def _inversions(w):
     return [] if _inversion_count(w) == length(w) else ["inversions"]
 
 
@@ -363,36 +334,37 @@ SUITES = {
 }
 
 
-def run_criterion(key, max_length=12, workers=1):
+def run_criterion(key, max_length=12):
     """Check one criterion on every owner up to max_length; the result
     carries that bound and the wall time of the whole check, census facts
-    included.  The per-owner checks are spread over `workers` processes,
-    and a row's facts, such as the kumar row's factorisation walk, run once,
-    in the same pool when there is one.  A bound that leaves the criterion
-    no owner is a ValueError: no gate passes on zero checks."""
+    included.  A row's facts, such as the kumar row's factorisation walk,
+    run once, after its per-owner checks.  An unknown key, or a bound that
+    leaves the criterion no owner, is a ValueError: no gate passes on zero
+    checks."""
+    if key not in CRITERIA:
+        raise ValueError("unknown criterion %r" % key)
     if max_length < 0:
         raise ValueError("max_length must be non-negative, got %d" % max_length)
-    if workers < 1:
-        raise ValueError("workers must be at least 1, got %d" % workers)
     start = time.perf_counter()
     row = CRITERIA[key]
-    words = [word for word, spiral in _owners(max_length) if row.spiral in (None, spiral)]
-    if not words:
+    owners = [(word, w) for word, w, spiral in _owners(max_length) if row.spiral in (None, spiral)]
+    if not owners:
         raise ValueError("%s has no owners with l <= %d" % (row.name, max_length))
-    names, facts = _run_row(row, words, max_length, workers)
     failures = [
         "%s %s" % (name, word or "e")
-        for word, owner_names in zip(words, names)
-        for name in owner_names
-    ] + facts
-    detail = "%d checks (l <= %d)" % (len(words), max_length)
+        for word, w in owners
+        for name in _reported(row.check, w)
+    ]
+    if row.facts:
+        failures += _reported(row.facts, max_length, label=row.facts.__name__)
+    detail = "%d checks (l <= %d)" % (len(owners), max_length)
     if failures:
         detail = "%d failed in %s: %s" % (len(failures), detail, ", ".join(failures[:5]))
     return CheckResult(row.name, not failures, detail, max_length, time.perf_counter() - start)
 
 
-def run_suite(suite="all", max_length=12, workers=1):
+def run_suite(suite="all", max_length=12):
     """Run one named verification suite; returns a list of CheckResult."""
     if suite not in SUITES:
         raise ValueError("unknown suite %r" % suite)
-    return [run_criterion(key, max_length, workers) for key in SUITES[suite]]
+    return [run_criterion(key, max_length) for key in SUITES[suite]]

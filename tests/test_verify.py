@@ -1,4 +1,4 @@
-"""The verification harness itself: suites, workers, bounds, failure reports."""
+"""The verification harness itself: suites, criteria, bounds, failure reports."""
 
 import pytest
 
@@ -8,21 +8,18 @@ from schubert_a2.verify import CRITERIA, SUITES, run_criterion, run_suite
 
 
 def test_unknown_suite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
         run_suite("nope")
+
+
+def test_unknown_criterion():
+    with pytest.raises(ValueError, match="unknown criterion 'nope'"):
+        run_criterion("nope", 4)
 
 
 def test_negative_bound_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         run_suite("q", max_length=-1)
-
-
-@pytest.mark.parametrize("workers", [0, -1])
-def test_workers_below_one_rejected(workers):
-    with pytest.raises(ValueError, match="at least 1"):
-        run_criterion("q", max_length=2, workers=workers)
-    with pytest.raises(ValueError, match="at least 1"):
-        run_suite("q", max_length=2, workers=workers)
 
 
 @pytest.mark.parametrize("key", ["hexagon", "q", "translation", "heredity"])
@@ -38,19 +35,13 @@ def test_suite_names_cover_criteria():
     assert len(SUITES["all"]) == 11
 
 
-@pytest.mark.parametrize("suite", sorted(SUITES))
-def test_workers_match_serial(suite):
-    serial = run_suite(suite, max_length=6, workers=1)
-    parallel = run_suite(suite, max_length=6, workers=2)
-    # the same verdicts; only the wall times differ
-    assert [r._replace(seconds=0) for r in serial] == [r._replace(seconds=0) for r in parallel]
-    assert all(r.passed for r in serial)
-
-
 def test_every_row_checks_the_bound_it_is_given(monkeypatch):
     # one spiral owner and one non-spiral owner of length 13, the latter a
     # 36-point witness so that the loci row's census fact holds
-    owners = (("0120120120120", True), ("0102010201020", False))
+    owners = tuple(
+        (word, parse_word(word), spiral)
+        for word, spiral in (("0120120120120", True), ("0102010201020", False))
+    )
     monkeypatch.setattr(verify, "_owners", lambda bound: owners)
     for key in CRITERIA:
         result = run_criterion(key, 13)
@@ -99,7 +90,7 @@ def test_setup_row_builds_psi_once_per_member(monkeypatch):
     w = parse_word(word)
     monkeypatch.setattr(kumar, "psi_set", counting)
     monkeypatch.setattr(verify, "psi_set", counting)
-    assert verify._setup(word) == []
+    assert verify._setup(w) == []
     own = [x for v, x in asked if v == w]
     assert sorted(own) == sorted(interval(w))
     held = 0
@@ -159,18 +150,16 @@ def test_verify_exits_4_with_json_when_a_check_raises(capsys):
     assert rows["inversion-identity"]["passed"]
 
 
-def test_raising_checks_and_facts_are_reported_through_the_pool(monkeypatch):
-    # math.factorial raises TypeError on every word, len on every bound;
-    # both are builtins, so they pickle under any start method
+def test_raising_checks_and_facts_are_reported(monkeypatch):
+    # math.factorial raises TypeError on every element, len on every bound
     import math
 
     monkeypatch.setitem(CRITERIA, "q", verify.Criterion("raising", False, math.factorial, len))
-    for workers in (1, 2):
-        result = run_criterion("q", 4, workers)
-        assert not result.passed and result.bound == 4
-        assert result.detail.startswith(
-            "10 failed in 9 checks (l <= 4): error:TypeError 010, "
-        ), result
+    result = run_criterion("q", 4)
+    assert not result.passed and result.bound == 4
+    assert result.detail.startswith(
+        "10 failed in 9 checks (l <= 4): error:TypeError 010, "
+    ), result
 
 
 def test_process_wide_memos_are_these_eleven():
@@ -211,3 +200,18 @@ def test_process_wide_memos_are_these_eleven():
         "cli._build_parser",
     }
     assert properties == {"qstat._Level.below", "qstat._Level.special"}
+
+
+def test_import_does_not_load_multiprocessing():
+    """verify runs serially, so importing the package loads no process pool
+    machinery, in a fresh interpreter."""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    probe = "import sys, schubert_a2; print('multiprocessing' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout == "False\n"
