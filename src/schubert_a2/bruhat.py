@@ -27,9 +27,9 @@ Along a root string in direction d the centers are p + t * unit(d) for
 integers t outside one residue class mod 3, and a step in t moves the other
 two trans values by 3 each.  So a hull meets the string in an integer
 t-interval, and chords reads all three of a point's t-intervals off the
-slab bounds at once; reflection partners, Psi sets and diagonals are
-counted or listed from them without stepping.  interval reads the same
-slabs row by row: each row of centers is one arithmetic progression.
+slab bounds at once; Psi sets and diagonals are listed from them without
+stepping.  interval reads the same slabs row by row: each row of centers
+is one arithmetic progression.
 
 An independent subexpression oracle (forward dynamic program over a reduced
 word) is provided for cross-checking.

@@ -3,10 +3,11 @@
 For x <= w, q(w, x) is the number of reflections r with r*x <= w, less
 l(w).  Two independent routes are implemented:
 
-* q_brute counts reflections directly: on each of the three root strings
-  through x, the hull of w cuts out an integer t-interval (bruhat.chords),
-  and the reflections are the t of it in one residue class mod 3, counted
-  in closed form without listing them;
+* q_brute counts reflections directly, off the hull's slab bounds and the
+  three slab values of x's center: on each root string through x the
+  partners are the multiples of 9 in an integer interval whose ends are
+  sums of one bound and one slab value (_reflection_count), counted in
+  closed form without listing them;
 * q_structured evaluates the closed form: one table of values on the 0-,
   1- and 2-shells by chamber parity and type, plus the base-case interiors,
   walked down the translation chain q(t(a)w, x) = q(w, x) + 2 from w to
@@ -18,9 +19,11 @@ For spiral w the nrs set is the down-closure of the q > 0 points; their
 maximal elements are one or two deletions from the one reduced word of w
 (maximal_nrs), and the nrs set is the down-closure of those.  nrs(w, x)
 reads no q table: it asks whether x lies below a maximal nrs point.
-lookup_holds checks that one reflection step up from x finds that set: a
-partner lies above x exactly when its reflecting line does not separate x
-from the fundamental alcove, so it is decided by arithmetic on the chords.
+lookup_holds checks that one reflection step up from x finds that set.
+The partners of x on its d-string are the centers there with d-pairing
+-pairing(x, d) mod 6, and the rank rule (_above) tells those above x, so
+one pass over the q > 0 points, keeping the highest rank per string and
+residue class, decides every x without listing a partner.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .alcove import (
 )
 from .bruhat import (
     NotComparableError,  # noqa: F401  (re-exported)
-    chords,
     diagonal_direction,
     hull_of,
     interval,
@@ -60,30 +62,42 @@ from .bruhat import (
     require_below,
     shell_of,
     special_segments,
-    string_centers,
     trans,
     triangle_test,
 )
 
 
-def _reflection_count(cx, spans):
-    """The number of reflection partners of the center cx, from its chords:
-    per direction the t in [lo, hi] with t = -p mod 3, p = pairing(cx, d),
-    that is the multiples of 3 in [lo + p, hi + p]."""
-    n = 0
-    for d, (lo, hi) in zip(POSITIVE_ROOTS, spans):
-        if lo <= hi:
-            p = pairing(cx, d)
-            n += (hi + p) // 3 - (lo + p - 1) // 3
-    return n
+def _reflection_count(h, c):
+    """The number of reflection partners of the center c in hull h, or None
+    when c lies outside h, read off the slab bounds.
+
+    c = (x, y) has slab values s1 = x + 2y, s2 = 2x + y, st = x - y, and
+    lies in h exactly when each is within its bounds.  A partner on the
+    d-string through c sits at t with t = -p mod 3, p = pairing(c, d), so
+    u = 3 * (p + t) is a multiple of 9; the two slabs the string crosses
+    bound u by sums of one bound and one slab value.  Per string the count
+    is the multiples of 9 in that u-interval, which holds u = 3p (t = 0).
+    """
+    x, y = c
+    s1, s2, st = x + 2 * y, 2 * x + y, x - y
+    (lo1, hi1), (lo2, hi2), (lot, hit) = h.bounds
+    if not (lo1 <= s1 <= hi1 and lo2 <= s2 <= hi2 and lot <= st <= hit):
+        return None
+    return (
+        min(hi2 + st, hit + s2) // 9 - (max(lo2 + st, lot + s2) - 1) // 9
+        + min(hi1 - st, s1 - lot) // 9 - (max(lo1 - st, s1 - hit) - 1) // 9
+        + min(hi1 + s2, hi2 + s1) // 9 - (max(lo1 + s2, lo2 + s1) - 1) // 9
+    )
 
 
 def q_brute(w, x):
     """The number of reflections r with r*x <= w, less l(w), counted off
-    the hull's chords through x."""
-    require_below(x, w)
-    cx = x.center()
-    return _reflection_count(cx, chords(hull_of(w), cx)) - length(w)
+    the hull's slab bounds."""
+    n = _reflection_count(hull_of(w), x.center())
+    if n is None:
+        require_below(x, w)
+        raise AssertionError("slab and hull membership disagree")
+    return n - length(w)
 
 
 def is_base_case(w):
@@ -411,46 +425,59 @@ def nrs_codimension(w):
     return codimension(w, maximal_nrs(w))
 
 
-def _up_centers(cx, spans):
-    """Centers of the reflection partners of the center cx that lie above it.
+def _strings(c):
+    """(direction index, trans value, pairing) of the three root strings
+    through the center c = (x, y), in POSITIVE_ROOTS order."""
+    x, y = c
+    return ((0, x + 2 * y, x), (1, 2 * x + y, y), (2, x - y, x + y))
 
-    The reflection carrying cx to the partner at t on its d-string fixes
-    the line at pairing p + t, p = pairing(cx, d), and r*x > x exactly when
-    that line does not separate x from the fundamental alcove, whose
-    pairings lie strictly between 0 and 3: t > 0 with p + t > 0, or t < 0
-    with p + t <= 0.  For p > 0 that is every t > 0 and the t <= -p; for
-    p < 0 the t > -p and every t < 0.
+
+def _rank(p):
+    """p for p > 0, else 3 - p: of two reflection partners on a string with
+    pairings p and q, the one of larger rank lies above (_above)."""
+    return p if p > 0 else 3 - p
+
+
+def _above(q, p):
+    """Whether the reflection partner with d-pairing q of the center with
+    d-pairing p (q = -p mod 6, on one d-string) lies above it.
+
+    The reflection fixes the line at pairing (p + q) / 2, and r*x > x
+    exactly when that line does not separate x from the fundamental
+    alcove, whose pairings lie strictly between 0 and 3; on the partners
+    of one center that is rank(q) > rank(p).
     """
-    out = []
-    for d, (lo, hi) in zip(POSITIVE_ROOTS, spans):
-        p = pairing(cx, d)
-        if p > 0:
-            ts = [*range(-p % 3, hi + 1, 3), *range(-p, lo - 1, -3)]
-        else:
-            ts = [*range(3 - p, hi + 1, 3), *range(-p % 3 - 3, lo - 1, -3)]
-        out += string_centers(cx, d, ts)
-    return out
+    return _rank(q) > _rank(p)
 
 
 def lookup_holds(w):
     """One-step reflection lookup detects nrs at every x <= w.
 
-    Each member's chords are read once.  They give q(w, x) > 0 by the
-    reflection count, and the partners above x by the side of the
-    reflecting line (_up_centers); the q > 0 points are held by center,
-    so no partner becomes an element.
+    q(w, x) > 0 is the reflection count off the slab bounds.  The partners
+    of x on its d-string are the centers there whose d-pairing is
+    -pairing(x, d) mod 6, so no partner is listed: one pass over the q > 0
+    points keeps, per string and residue class, the pairing of highest
+    rank, and x is looked up when it is q > 0 or one of its three partner
+    classes holds a q > 0 point above it (_above).
     """
     h, n = hull_of(w), length(w)
-    members = {}  # x -> (center, chords)
-    positive = {}  # center -> x, for the x with q(w, x) > 0
-    for x in interval(w):
-        cx = x.center()
-        members[x] = cx, chords(h, cx)
-        if _reflection_count(*members[x]) > n:
-            positive[cx] = x
-    truly_nrs = down_closure(members, positive.values())
-    return all(
-        (x in truly_nrs)
-        == (cx in positive or not positive.keys().isdisjoint(_up_centers(cx, spans)))
-        for x, (cx, spans) in members.items()
-    )
+    centers = {x: x.center() for x in interval(w)}
+    positive = {x for x, c in centers.items() if _reflection_count(h, c) > n}
+    top = {}  # (direction, trans, pairing mod 6) -> the q > 0 pairing of highest rank
+    for x in positive:
+        for d, s, p in _strings(centers[x]):
+            key = d, s, p % 6
+            if key not in top or _rank(p) > _rank(top[key]):
+                top[key] = p
+    truly_nrs = down_closure(centers, positive)
+
+    def looked_up(x):
+        if x in positive:
+            return True
+        for d, s, p in _strings(centers[x]):
+            q = top.get((d, s, -p % 6))
+            if q is not None and _above(q, p):
+                return True
+        return False
+
+    return all((x in truly_nrs) == looked_up(x) for x in centers)

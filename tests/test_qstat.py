@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -17,6 +18,7 @@ from schubert_a2.alcove import (
     descent_group,
     element_from_center,
     descents,
+    display_word,
     format_word,
     is_spiral,
     is_twisted_spiral,
@@ -29,9 +31,8 @@ from schubert_a2.alcove import (
     type_of,
     word_to_element,
 )
-from schubert_a2 import qstat
+from schubert_a2 import bruhat, qstat
 from schubert_a2.bruhat import (
-    chords,
     diagonal_centers,
     diagonal_direction,
     hexagon,
@@ -39,6 +40,7 @@ from schubert_a2.bruhat import (
     interval,
     leq,
     oracle_interval,
+    require_below,
     shell_of,
     trans,
     triangle_test,
@@ -432,8 +434,18 @@ def test_lookup_fails_without_the_step_up(monkeypatch):
     q = 0, so the lookup gate cannot pass vacuously."""
     w = next(_spiral_lookup_witnesses())
     assert lookup_holds(w)
-    monkeypatch.setattr(qstat, "_up_centers", lambda cx, spans: [])
+    monkeypatch.setattr(qstat, "_above", lambda q, p: False)
     assert not lookup_holds(w)
+
+
+def test_lookup_fails_when_partners_below_count(monkeypatch):
+    """With every q > 0 partner counted, those below x too, smooth points
+    are looked up and lookup fails at 186 of the 235 owners with l <= 12:
+    the looked-up set is checked to lie inside the nrs set as well."""
+    owners = elements_of_length_at_most(12)
+    assert all(lookup_holds(w) for w in owners)
+    monkeypatch.setattr(qstat, "_above", lambda q, p: True)
+    assert sum(not lookup_holds(w) for w in owners) == 186
 
 
 def test_lookup_matches_the_length_reference():
@@ -500,20 +512,66 @@ def test_reflections_counted_equal_the_partners_listed():
 
 
 def test_partners_above_by_the_side_of_the_line():
-    """The hyperplane-side rule picks, in partner order, exactly the
-    partners r*x with l(r*x) > l(x), for every x <= w with l(w) <= 12."""
+    """The rank rule on the two pairings picks exactly the partners r*x
+    with l(r*x) > l(x), for every x <= w with l(w) <= 12."""
     checked = 0
     for w in elements_of_length_at_most(12):
-        h = hull_of(w)
         for x in interval(w):
-            lx = length(x)
-            partners = [c for _, c in reflection_partners(w, x)]
-            above = [c for c in partners if length(element_from_center(c)) > lx]
-            cx = x.center()
-            assert qstat._up_centers(cx, chords(h, cx)) == above, (
-                format_word(w), format_word(x))
-            checked += len(partners)
+            lx, cx = length(x), x.center()
+            for d, c in reflection_partners(w, x):
+                assert qstat._above(pairing(c, d), pairing(cx, d)) == (
+                    length(element_from_center(c)) > lx), (
+                    format_word(w), format_word(x), d)
+                checked += 1
     assert checked == 170256
+
+
+def test_q_and_lookup_read_no_chords(monkeypatch):
+    """q_brute and lookup_holds list no chord and no string: with
+    bruhat.chords and bruhat.string_centers raising wherever they are
+    bound, they still match the walk's partner counts and lookup for every
+    owner with l <= 10.  The references are built first."""
+    owners = sorted(elements_of_length_at_most(10), key=_by_length)
+    counts = {
+        (w, x): len(reflection_partners(w, x)) - length(w)
+        for w in owners for x in interval(w)
+    }
+    looked_up = {w: walk.lookup_holds(w) for w in owners}
+
+    def raising(*args):
+        raise AssertionError("chords or string_centers called")
+
+    for name in ("chords", "string_centers"):
+        fn = getattr(bruhat, name)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("schubert_a2") and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, raising)
+    with pytest.raises(AssertionError):
+        bruhat.chords(hull_of(E), E.center())
+    for (w, x), n in counts.items():
+        assert q_brute(w, x) == n, (format_word(w), format_word(x))
+    for w in owners:
+        assert lookup_holds(w) == looked_up[w], format_word(w)
+
+
+def test_q_brute_names_the_pair_it_cannot_compare():
+    """For every owner with l <= 8 and every x with l(x) <= l(w) + 2 not
+    below w, q_brute raises NotComparableError with require_below's
+    message."""
+    candidates = elements_of_length_at_most(10)
+    checked = 0
+    for w in elements_of_length_at_most(8):
+        for x in candidates:
+            if length(x) > length(w) + 2 or leq(x, w):
+                continue
+            with pytest.raises(NotComparableError) as expected:
+                require_below(x, w)
+            with pytest.raises(NotComparableError) as raised:
+                q_brute(w, x)
+            assert str(raised.value) == str(expected.value) == "%s is not below %s" % (
+                display_word(x), display_word(w))
+            checked += 1
+    assert checked == 8223
 
 
 def shell_profile_consistent(w):
