@@ -4,7 +4,8 @@ Draws the triangular alcove lattice with the a2 direction vertical, at 40
 units per alcove edge, and overlays any subset of layers: fundamental
 strips, a hull outline, shells, a q-value heatmap, smooth and nrs shading,
 special segments, and diagonals.  Output is plain SVG 1.1 with no external
-references; identical inputs produce identical bytes.
+references.  The output depends only on the spec and the payload:
+identical inputs produce identical bytes.
 
 The lattice is scanned row by row: a row p1 with p1 mod 3 nonzero holds the
 centers with p2 = p1 mod 3.  Each alcove's corners are built once as integer
@@ -17,9 +18,7 @@ bytes are those of formatting every corner on its own.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from typing import NamedTuple
 
 from .alcove import POSITIVE_ROOTS, element_from_center, format_words
@@ -54,44 +53,6 @@ DEFAULT_COLORS = {
     "label": "#202020",
     "heat": ["#ffffcc", "#a1dab4", "#41b6c4", "#2c7fb8", "#253494", "#0c1a4d"],
 }
-
-
-class ConfigError(ValueError):
-    """SCHUBERT_A2_CONFIG names a file that is not a valid color config."""
-
-
-def _color_ok(value, default):
-    if isinstance(default, list):
-        return (isinstance(value, list) and len(value) > 0
-                and all(isinstance(c, str) for c in value))
-    return isinstance(value, str)
-
-
-def _colors():
-    """DEFAULT_COLORS, overridden by the JSON object in SCHUBERT_A2_CONFIG.
-
-    Each key must be a key of DEFAULT_COLORS, and each value a color string,
-    or a non-empty list of them for "heat".
-    """
-    colors = dict(DEFAULT_COLORS)
-    path = os.environ.get("SCHUBERT_A2_CONFIG")
-    if path:
-        try:
-            with open(path) as fh:
-                user = json.load(fh)
-        except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
-            raise ConfigError("SCHUBERT_A2_CONFIG cannot be read as JSON: %s" % exc)
-        if not isinstance(user, dict):
-            raise ConfigError("SCHUBERT_A2_CONFIG must hold a JSON object")
-        for key, value in user.items():
-            if key not in DEFAULT_COLORS:
-                raise ConfigError("SCHUBERT_A2_CONFIG has unknown key %r" % key)
-            if not _color_ok(value, DEFAULT_COLORS[key]):
-                raise ConfigError(
-                    "SCHUBERT_A2_CONFIG has a bad value for %r: %r" % (key, value)
-                )
-        colors.update(user)
-    return colors
 
 
 class RenderSpec(NamedTuple):
@@ -189,7 +150,6 @@ def render(spec, payload):
     spec that validate_spec rejects is a ValueError."""
     validate_spec(spec)
     owner = _payload_owner(payload)
-    colors = _colors()
     vp = _auto_viewport(owner)
     centers = _centers_in_viewport(vp)
     cells = [_corner_keys(c) for c in centers]
@@ -206,15 +166,15 @@ def render(spec, payload):
         qs = {x.center(): q for x, (q, _tag) in payload.entries.items()}
     fills = {}
     if "q-heatmap" in layers:
-        heat = colors["heat"]
+        heat = DEFAULT_COLORS["heat"]
         fills = {c: heat[min(q, len(heat) - 1)] for c, q in qs.items()}
     if isinstance(payload, LocusReport) and "smooth" in layers:
         for x, rec in zip(payload.members, payload.records):
             if rec["smooth"]:
-                fills[x.center()] = colors["smooth"]
+                fills[x.center()] = DEFAULT_COLORS["smooth"]
             elif rec["nrs"]:
-                fills[x.center()] = colors["nrs"]
-    stroke = colors["lattice"] if "lattice" in layers else "none"
+                fills[x.center()] = DEFAULT_COLORS["nrs"]
+    stroke = DEFAULT_COLORS["lattice"] if "lattice" in layers else "none"
     xstr = {k: _fmt(_px(k)) for k in keys}
     ystr = {b: _fmt(_py(b)) for b in bs}
     for c, cell in zip(centers, cells):
@@ -230,12 +190,12 @@ def render(spec, payload):
             for level in (0, 3):
                 pts = _strip_line_points(d, level, vp)
                 if pts:
-                    body.append(_line(pts[0], pts[1], colors["strip"], 2.0))
+                    body.append(_line(pts[0], pts[1], DEFAULT_COLORS["strip"], 2.0))
 
     hull = hull_of(owner)
     if "hexagon" in layers and len(hull.vertices) > 1:
         ring = [_xy(v.center()) for v in hull.vertices]
-        body.append(_polygon(_coords(ring), stroke=colors["hexagon"], width=2.5))
+        body.append(_polygon(_coords(ring), stroke=DEFAULT_COLORS["hexagon"], width=2.5))
 
     if "shells" in layers:
         k = 1
@@ -243,7 +203,9 @@ def render(spec, payload):
             ring = _shell_ring(hull, k)
             if ring is None:
                 break
-            body.append(_polygon(_coords(ring), stroke=colors["shell"], width=1.2, dash=True))
+            body.append(
+                _polygon(_coords(ring), stroke=DEFAULT_COLORS["shell"], width=1.2, dash=True)
+            )
             k += 1
 
     if "diagonals" in layers and hull.hyperplanes:
@@ -251,12 +213,12 @@ def render(spec, payload):
             pts = diagonal_centers(hull, i)
             if len(pts) >= 2:
                 body.append(
-                    _line(_xy(pts[0]), _xy(pts[-1]), colors["diagonal"], 1.0, dash=True)
+                    _line(_xy(pts[0]), _xy(pts[-1]), DEFAULT_COLORS["diagonal"], 1.0, dash=True)
                 )
     if "special-segments" in layers:
         for seg in special_segments(hull):
             if seg:
-                body.append(_line(_xy(seg[0]), _xy(seg[-1]), colors["special"], 4.0))
+                body.append(_line(_xy(seg[0]), _xy(seg[-1]), DEFAULT_COLORS["special"], 4.0))
 
     labels = {}
     if spec.labels == "q-values":
@@ -272,7 +234,7 @@ def render(spec, payload):
         px, py = _xy(c)
         body.append(
             '<text x="%s" y="%s" font-size="9" text-anchor="middle" fill="%s">%s</text>'
-            % (_fmt(px), _fmt(py + 3), colors["label"], text)
+            % (_fmt(px), _fmt(py + 3), DEFAULT_COLORS["label"], text)
         )
 
     return (

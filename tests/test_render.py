@@ -45,15 +45,13 @@ def _sha256(data):
 
 
 def test_demo_figures_are_pinned(tmp_path, monkeypatch):
-    monkeypatch.delenv("SCHUBERT_A2_CONFIG", raising=False)
     monkeypatch.setattr(sys, "argv", [str(DEMO), str(tmp_path)])
     runpy.run_path(str(DEMO), run_name="__main__")
     for name, digest in FIGURE_DIGESTS.items():
         assert _sha256((tmp_path / name).read_bytes()) == digest, name
 
 
-def test_all_layers_render_is_pinned(monkeypatch):
-    monkeypatch.delenv("SCHUBERT_A2_CONFIG", raising=False)
+def test_all_layers_render_is_pinned():
     doc = render(RenderSpec(layers=LAYERS, labels="words"), q_table(parse_word("012101201")))
     assert _sha256(doc.encode()) == ALL_LAYERS_DIGEST
 
@@ -64,10 +62,9 @@ def _owners(n):
     return sorted(words, key=lambda w: (len(words[w]), words[w]))
 
 
-def test_owner_sweep_is_pinned(monkeypatch):
+def test_owner_sweep_is_pinned():
     """All layers, each label mode, each payload kind (a hexagon off the
     strips, a q table, a locus report) for every owner with l <= 6."""
-    monkeypatch.delenv("SCHUBERT_A2_CONFIG", raising=False)
     digest = hashlib.sha256()
     count = 0
     for w in _owners(SWEEP_LENGTH):
@@ -86,10 +83,9 @@ def test_viewport_centers_match_the_box_scan():
         assert _centers_in_viewport(vp) == walk.centers_in_box(vp), vp
 
 
-def test_shuffled_locus_report_renders_the_same(monkeypatch):
+def test_shuffled_locus_report_renders_the_same():
     """(member, record) pairs out of order: the fills read each record's
     own member, not the report's order."""
-    monkeypatch.delenv("SCHUBERT_A2_CONFIG", raising=False)
     spec = RenderSpec(layers=LAYERS, labels="words")
     rng = random.Random(0)
     for text in ("012101201", "0120120", "2102102102102"):

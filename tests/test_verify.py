@@ -215,3 +215,24 @@ def test_import_does_not_load_multiprocessing():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout == "False\n"
+
+
+def test_no_module_reads_the_environment():
+    """Every answer depends only on the arguments: no module under the
+    package reads os.environ or os.getenv, by attribute or by import."""
+    import ast
+    from pathlib import Path
+
+    import schubert_a2
+
+    names = {"environ", "getenv"}
+    reads = []
+    for path in sorted(Path(schubert_a2.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr in names
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                reads.append("%s:%d os.%s" % (path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += ["%s:%d from os import %s" % (path.name, node.lineno, a.name)
+                          for a in node.names if a.name in names]
+    assert reads == []
