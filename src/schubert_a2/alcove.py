@@ -20,8 +20,9 @@ and crosses a wall on a line (a, v) = k for one positive root a.  The
 a right descent of w when the wall separates w's alcove from A0: one
 pairing of w's center with a.  element_to_word walks (center, finite part)
 down to Q0 this way, with no group products and no length lookups.
-format_words formats a whole set by one such step per element: a word is
-its child's word plus the descent letter.
+format_word and format_words read one process-wide memo from center to
+word: a miss walks down to the first center the memo holds, Q0 at the
+latest, and a word is its child's word plus the descent letter.
 """
 
 from __future__ import annotations
@@ -316,16 +317,16 @@ def word_to_element(word):
     return w
 
 
-def _descent_walk(w, stops):
-    """Strip the smallest right descent from w until the center is in
-    stops, which holds Q0: (centers left, letters stripped, center reached).
+def _descent_walk(c, fin, stops):
+    """Strip the smallest right descent from the element with center c and
+    finite part fin until the center is in stops, which holds Q0:
+    (centers left, letters stripped, center reached).
 
     The walk carries only (center, finite part): each step reads the
     smallest descent off _FIN_WALL, adds its step to the center and moves
     the finite part by _FIN_MUL.
     """
     centers, letters = [], []
-    c, fin = w.center(), w.fin
     x, y = c
     while c not in stops:
         for i, ((a, b), down, step) in enumerate(_FIN_WALL[fin]):
@@ -347,7 +348,7 @@ _Q0_ONLY = frozenset([Q0])
 
 def element_to_word(w):
     """A reduced word for w, stripping the smallest right descent at each step."""
-    letters = _descent_walk(w, _Q0_ONLY)[1]
+    letters = _descent_walk(w.center(), w.fin, _Q0_ONLY)[1]
     letters.reverse()
     return letters
 
@@ -362,28 +363,36 @@ def parse_word(text):
     return word_to_element(word)
 
 
+# The word of every center formatted or walked past so far, in this
+# process.  Each entry is element_to_word's word, so a write stores what
+# any other write of the same center would.  A miss stores Q0's empty word
+# first, so clearing the dict is a full reset.
+_WORDS = {}
+
+
 def format_word(w):
-    return "".join(str(i) for i in element_to_word(w))
+    """The string of element_to_word(w), read from the process-wide word
+    memo: one center read and one lookup once w's center is in the memo.
+    A miss walks the smallest right descents down to the first center the
+    memo holds and stores the word of every center it passed: a word is
+    its child's word plus the descent letter."""
+    c = w.center()
+    word = _WORDS.get(c)
+    if word is None:
+        _WORDS.setdefault(Q0, "")
+        centers, letters, c = _descent_walk(c, w.fin, _WORDS)
+        word = _WORDS[c]
+        for c, i in zip(reversed(centers), reversed(letters)):
+            word += "012"[i]
+            _WORDS[c] = word
+    return word
 
 
 def format_words(elements):
-    """{x: format_word(x)} for every x in elements.
-
-    Each word is its child's word plus one letter, the child being x*s_i
-    for the smallest right descent i, as in element_to_word.  The memo is
-    local to the call and keyed by center; a walk stops at the first
-    center it holds.  A child outside the set is walked the same way, so
-    any set works, and a down-closed one costs one step per element.
-    """
-    memo, out = {Q0: ""}, {}
-    for w in elements:
-        centers, letters, c = _descent_walk(w, memo)
-        word = memo[c]
-        for c, i in zip(reversed(centers), reversed(letters)):
-            word += "012"[i]
-            memo[c] = word
-        out[w] = word
-    return out
+    """{x: format_word(x)} for every x in elements, through the same memo.
+    Any set works; a down-closed one costs at most one walk step per
+    element not yet in the memo."""
+    return {w: format_word(w) for w in elements}
 
 
 def display_word(w):

@@ -32,6 +32,8 @@ from .alcove import (
 )
 from .bruhat import hull_of, interval, leq, shell_of
 from .qstat import (
+    QTable,
+    _walk_rows,
     codimension,
     down_closure,
     is_rationally_smooth,
@@ -55,7 +57,7 @@ def smooth_points(w):
     is the interval minus the down-closure of the maximal singular points.
     """
     if is_spiral(w):
-        return _spiral_smooth_points(w, maximal_singular(w))
+        return _spiral_smooth_points(interval(w), maximal_singular(w))
     hx = hull_of(w)
     out = set()
     if type_of(w) == 1:
@@ -74,10 +76,10 @@ def smooth_points(w):
     return out
 
 
-def _spiral_smooth_points(w, max_sing):
-    """The smooth points of a spiral w, given its maximal singular points."""
-    members = interval(w)
-    return members - down_closure(members, max_sing)
+def _spiral_smooth_points(members, max_sing):
+    """The smooth points of a spiral owner, given its interval and its
+    maximal singular points."""
+    return set(members) - down_closure(members, max_sing)
 
 
 def _attached_edges(w):
@@ -273,17 +275,24 @@ def locus_report(w):
     The q table is built once and gives the nrs set; a spiral owner's nrs
     set is the down-closure of its closed-form maximal nrs points, and its
     smooth points and both codimensions are read off the maximal points
-    computed here.  A record's length is that of x's reduced word."""
-    tab = q_table(w)
-    nrs_members = tab.nrs()
-    words = format_words(tab.entries)
+    computed here.  Off the strips the table's walk also gives each
+    member's shell, and on them the smooth points come from the table's
+    interval.  A record's length is that of x's reduced word."""
     max_nrs = maximal_nrs(w)
     max_sing = maximal_singular(w)
     if is_spiral(w):
-        smooth = _spiral_smooth_points(w, max_sing)
+        tab = q_table(w)
+        h = hull_of(w)
+        shells = {x: shell_of(h, x.center()) for x in tab.entries}
+        smooth = _spiral_smooth_points(tab.entries, max_sing)
     else:
+        entries, shells = {}, {}
+        for x, k, qt in _walk_rows(w):
+            entries[x], shells[x] = qt, k
+        tab = QTable(w, entries)
         smooth = smooth_points(w)
-    h = hull_of(w)
+    nrs_members = tab.nrs()
+    words = format_words(tab.entries)
     members = sorted(words, key=lambda x: (len(words[x]), words[x]))
     records = []
     for x in members:
@@ -295,7 +304,7 @@ def locus_report(w):
                 "q": tab.q(x),
                 "nrs": x in nrs_members,
                 "smooth": x in smooth,
-                "shell": shell_of(h, x.center()),
+                "shell": shells[x],
                 "maximal_nrs": x in max_nrs,
                 "maximal_singular": x in max_sing,
             }

@@ -133,22 +133,17 @@ def _base4_geometry(w):
     assert lines[0] == lines[3]
     assert lines[1][0] == lines[4][0] and lines[2][0] == lines[5][0]
 
-    def segment_on(d, value):
-        out = []
-        for x in interval(w):
-            c = x.center()
-            if trans(c, d) == value and shell_of(hx, c) >= 2:
-                out.append(c)
-        out.sort(key=lambda c: pairing(c, d))
-        return out
-
+    # the centers at shell 2 or deeper, read off the interval once
+    inner = [c for c in (x.center() for x in interval(w)) if shell_of(hx, c) >= 2]
     blue = {}
     for i, j in ((1, 4), (2, 5)):
         d = lines[i][0]
         a, b = sorted((lines[i][1], lines[j][1]))
         assert b - a == 9, "parallel diagonals are three strings apart"
         for v in (a + 3, a + 6):
-            blue[(d, v)] = segment_on(d, v)
+            seg = [c for c in inner if trans(c, d) == v]
+            seg.sort(key=lambda c: pairing(c, d))
+            blue[(d, v)] = seg
     red = triangle_test([lines[0], lines[4], lines[5]])
     return _Base4Geometry(lines, red, blue)
 
@@ -224,12 +219,11 @@ def _shell_value(level, c, k):
     return _base4_interior_value(level.owner, c)
 
 
-def _q_walk(top, x):
-    """(q, provenance tag) of x below the chain's top owner: x moves down
-    while on the 3-shell or deeper and above the base case, 2 per level."""
+def _q_walk(top, c, k):
+    """(q, provenance tag) of the center c on the k-shell of the chain's top
+    owner: c moves down while on the 3-shell or deeper and above the base
+    case, 2 per level."""
     level, j = top, 0
-    c = x.center()
-    k = shell_of(level.hull, c)
     while k >= 3 and not level.is_base:
         level, j = level.below, j + 1
         k = shell_of(level.hull, c)
@@ -247,7 +241,8 @@ def q_structured(w, x):
             "q_structured needs a non-spiral element: %s" % display_word(w)
         )
     require_below(x, w)
-    return _q_walk(_Level(w), x)[0]
+    top, c = _Level(w), x.center()
+    return _q_walk(top, c, shell_of(top.hull, c))[0]
 
 
 def q_value(w, x):
@@ -284,11 +279,22 @@ class QTable(NamedTuple):
         }
 
 
+def _walk_rows(w):
+    """(x, k, (q, tag)) for every x <= w, a non-spiral w, with k the shell
+    of x on w's hull: each member's center and top shell are read once,
+    and _q_walk takes them from there."""
+    top = _Level(w)
+    h = top.hull
+    for x in interval(w):
+        c = x.center()
+        k = shell_of(h, c)
+        yield x, k, _q_walk(top, c, k)
+
+
 def q_table(w):
     if is_spiral(w):
         return QTable(w, {x: (q_brute(w, x), "brute") for x in interval(w)})
-    top = _Level(w)
-    return QTable(w, {x: _q_walk(top, x) for x in interval(w)})
+    return QTable(w, {x: qt for x, _, qt in _walk_rows(w)})
 
 
 # ---------------------------------------------------------------------------

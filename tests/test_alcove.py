@@ -44,7 +44,7 @@ from schubert_a2.alcove import (
     type_of,
     word_to_element,
 )
-from schubert_a2.bruhat import interval
+from schubert_a2 import alcove
 import walk
 from walk import act, string_step
 
@@ -217,15 +217,23 @@ def test_word_digest():
     )
 
 
-def test_format_words_equals_format_word():
-    """format_words against format_word on down-closed sets (every
-    interval with l <= 14, every element with l <= 12) and on sets that
-    are not: one element of length 14, and all elements of length 14."""
-    length_14 = [w for w in all_elements(14) if length(w) == 14]
-    sets = [interval(w) for w in all_elements(14)]
-    sets += [ELEMENTS_12, length_14[:1], length_14]
-    for elements in sets:
-        assert format_words(elements) == {x: format_word(x) for x in elements}
+def test_format_word_and_format_words_match_the_reference_walk():
+    """format_word and format_words against walk.element_to_word on every
+    element with l <= 14, each time with the process-wide word memo
+    cleared: taken longest first, so that misses walk many steps; taken
+    shortest first; and on the elements of length 14 alone, a set that is
+    not down-closed."""
+    elements = sorted(all_elements(14), key=length)
+    expected = {x: "".join(map(str, walk.element_to_word(x))) for x in elements}
+    length_14 = [x for x in elements if length(x) == 14]
+    for order in (elements[::-1], elements, length_14):
+        alcove._WORDS.clear()
+        assert format_words(order) == {x: expected[x] for x in order}
+        alcove._WORDS.clear()
+        assert [format_word(x) for x in order] == [expected[x] for x in order]
+    alcove._WORDS.clear()
+    format_word(length_14[0])
+    assert len(alcove._WORDS) == 15  # Q0 and every center one 14-step walk passed
 
 
 def test_types():

@@ -342,6 +342,38 @@ def test_spiral_locus_report_builds_one_table(monkeypatch):
     assert calls == {"q_table": 1, "down_closure": 1}
 
 
+def test_non_spiral_locus_report_reads_shells_off_the_q_walk(monkeypatch):
+    """Off the strips a record's shell is the top shell the q walk read:
+    every non-spiral report with l <= 10 is unchanged when loci.shell_of
+    raises."""
+    owners = [w for w in elements_of_length_at_most(10) if not is_spiral(w)]
+    expected = [locus_report(w).to_dict() for w in owners]
+
+    def raising(*args):
+        raise AssertionError("loci.shell_of called")
+
+    monkeypatch.setattr(loci, "shell_of", raising)
+    assert [locus_report(w).to_dict() for w in owners] == expected
+
+
+def test_spiral_locus_report_reads_the_interval_once(monkeypatch):
+    """A spiral report's smooth points come from the interval its q table
+    already holds: one interval(w) per report."""
+    calls = []
+
+    def counting(v):
+        calls.append(v)
+        return interval(v)
+
+    for module in (loci, qstat):
+        monkeypatch.setattr(module, "interval", counting)
+    w = parse_word("2102102102102")
+    assert is_spiral(w)
+    report = locus_report(w)
+    assert calls == [w]
+    assert {parse_word(r["x"]) for r in report.records if r["smooth"]} == smooth_points(w)
+
+
 def test_spiral_locus_report_builds_no_multiplicity_table():
     w = parse_word("2102102102102")
     assert is_spiral(w)

@@ -152,6 +152,22 @@ def test_base_cases():
         assert all(tag == "base-case" for _, tag in tab.entries.values())
 
 
+def test_base4_blue_segments_match_the_per_segment_scan():
+    """The blue segments of every base-case-4 owner (odd chamber, type 2,
+    base case, l >= 7) with l <= 24, read off one pass over the interval,
+    equal the reference that scans the interval once per segment."""
+    owners = [
+        w for w in elements_of_length_at_most(24)
+        if length(w) >= 7 and not is_spiral(w) and is_base_case(w)
+        and chamber_parity(w) == "odd" and type_of(w) == 2
+    ]
+    assert len(owners) == 54
+    for w in owners:
+        geom = qstat._base4_geometry(w)
+        assert geom.blue == walk.base4_blue(w, geom.lines), format_word(w)
+        assert all(geom.blue.values()), format_word(w)
+
+
 def test_qtable_tags_and_json():
     w = translate_into_chamber(parse_word("0121"))  # a translated element
     assert not is_base_case(w)

@@ -162,14 +162,52 @@ def test_raising_checks_and_facts_are_reported(monkeypatch):
     ), result
 
 
-def test_process_wide_memos_are_these_eleven():
-    """The callables defined in the package's modules that carry
-    cache_info are exactly these eleven memos, and the only cached
-    properties are the two of qstat._Level: a memo that a mutant or a
-    recorder must clear is listed here on purpose."""
+# Run in a fresh interpreter: every command once, each exiting 0, then
+# print the module-level dicts, lists and sets of the package that the
+# commands grew.
+_GROWN_STATE_PROBE = """
+import contextlib, importlib, io, os, pkgutil, sys, tempfile
+import schubert_a2
+from schubert_a2 import cli
+
+def containers():
+    out = {}
+    for info in pkgutil.iter_modules(schubert_a2.__path__):
+        module = importlib.import_module("schubert_a2." + info.name)
+        for name, obj in vars(module).items():
+            if isinstance(obj, (dict, list, set)):
+                out["%s.%s" % (info.name, name)] = len(obj)
+    return out
+
+before = containers()
+svg = os.path.join(tempfile.mkdtemp(), "p.svg")
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["order", "0121", "01201201"], ["hexagon", "012101201"],
+                 ["q", "012101201"], ["q", "2102102"], ["q", "01201201", "0120"],
+                 ["nrs", "012101201"], ["smooth", "2102102102"],
+                 ["classify", "0120120"], ["mult", "01210120", "0121"],
+                 ["enumerate-smooth"], ["verify", "--max-length", "6"],
+                 ["render", "012101201", "--labels", "words", "--payload", "locus",
+                  "--layers", "lattice,smooth,shells", "--out", svg]):
+        assert cli.run(argv + ["--json"]) == 0, argv
+after = containers()
+print(" ".join(sorted(k for k in after if after[k] != before.get(k))))
+"""
+
+
+def test_process_wide_memos_are_these_twelve():
+    """The package's process-wide memos are exactly these twelve: eleven
+    callables defined in its modules that carry cache_info, and the word
+    memo alcove._WORDS, the one module-level container that a fresh
+    interpreter's run of every command grows.  The only cached properties
+    are the two of qstat._Level.  A memo that a mutant or a recorder must
+    clear is listed here on purpose."""
     import functools
     import importlib
+    import os
     import pkgutil
+    import subprocess
+    import sys
 
     import schubert_a2
 
@@ -186,9 +224,16 @@ def test_process_wide_memos_are_these_eleven():
                     memos.add("%s.%s" % (info.name, obj.__qualname__))
                 if isinstance(obj, functools.cached_property):
                     properties.add("%s.%s" % (info.name, obj.func.__qualname__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", _GROWN_STATE_PROBE],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    memos.update(done.stdout.split())
     assert memos == {
         "alcove.length",
         "alcove.element_from_center",
+        "alcove._WORDS",
         "bruhat.hull_of",
         "qstat._base4_geometry",
         "qstat.maximal_nrs",

@@ -46,7 +46,11 @@ for AffineElement.center's table of the images of Q0.
 
 descents and element_to_word built on length(w * s_i) are the reference
 for the wall table of alcove.descents and alcove.element_to_word: they
-multiply by each simple reflection and compare lengths.
+multiply by each simple reflection and compare lengths.  They are also the
+reference for the word memo of alcove.format_word and format_words.
+
+base4_blue is the reference for the blue segments of
+qstat._base4_geometry: it scans the interval once per segment.
 """
 
 import functools
@@ -68,6 +72,7 @@ from schubert_a2.bruhat import (
     hull_of,
     leq,
     require_below,
+    shell_of,
     string_centers,
     string_direction,
     trans,
@@ -233,6 +238,31 @@ def element_to_word(w):
         cur = cur * SIMPLES[i]
     letters.reverse()
     return letters
+
+
+def base4_blue(w, lines):
+    """The blue segments of a base-case-4 owner w, given the lines u_0 ...
+    u_5 of its diagonals: on each of the two strings strictly between the
+    parallel diagonals u_i and u_{i+3} (i = 1, 2), the centers at shell 2
+    or deeper, by pairing, each segment scanned off the interval alone."""
+    h = hull_of(w)
+
+    def segment_on(d, value):
+        out = []
+        for x in interval(w):
+            c = x.center()
+            if trans(c, d) == value and shell_of(h, c) >= 2:
+                out.append(c)
+        out.sort(key=lambda c: pairing(c, d))
+        return out
+
+    blue = {}
+    for i, j in ((1, 4), (2, 5)):
+        d = lines[i][0]
+        a = min(lines[i][1], lines[j][1])
+        for v in (a + 3, a + 6):
+            blue[(d, v)] = segment_on(d, v)
+    return blue
 
 
 @functools.cache
