@@ -48,6 +48,7 @@ from .loci import (
     singular_codim,
     smooth_points,
 )
+from .memos import clear_memos
 from .qstat import (
     lookup_holds,
     maximal_nrs,

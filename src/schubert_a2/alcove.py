@@ -27,8 +27,9 @@ latest, and a word is its child's word plus the descent letter.
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
+
+from .memos import memo
 
 # ---------------------------------------------------------------------------
 # Roots.
@@ -213,9 +214,15 @@ def orientation(point):
     return "up" if r == 1 else "down"
 
 
-@functools.cache
+_ELEMENTS = memo("alcove.element_from_center")
+
+
 def element_from_center(point):
     """The unique w with w(q) equal to the given center."""
+    try:
+        return _ELEMENTS[point]
+    except KeyError:
+        pass
     if not is_center(point):
         raise ValueError("not an alcove center: %r" % (point,))
     for fin, base in enumerate(_FIN_Q0):
@@ -224,7 +231,7 @@ def element_from_center(point):
         if (2 * dx + dy) % 9 == 0 and (dx + 2 * dy) % 9 == 0:
             w = AffineElement(((2 * dx + dy) // 9, (dx + 2 * dy) // 9), fin)
             if w.center() == point:
-                return w
+                return _ELEMENTS.setdefault(point, w)
     raise AssertionError("no element for center %r" % (point,))
 
 
@@ -238,13 +245,19 @@ def _strictly_between_multiples(a, b):
     return b // 3 - a // 3
 
 
-@functools.cache
+_LENGTHS = memo("alcove.length")
+
+
 def length(w):
+    try:
+        return _LENGTHS[w]
+    except KeyError:
+        pass
     c = w.center()
-    return sum(
+    return _LENGTHS.setdefault(w, sum(
         _strictly_between_multiples(pairing(Q0, a), pairing(c, a))
         for a in POSITIVE_ROOTS
-    )
+    ))
 
 
 def _build_walls():
@@ -367,7 +380,7 @@ def parse_word(text):
 # process.  Each entry is element_to_word's word, so a write stores what
 # any other write of the same center would.  A miss stores Q0's empty word
 # first, so clearing the dict is a full reset.
-_WORDS = {}
+_WORDS = memo("alcove.format_word")
 
 
 def format_word(w):

@@ -13,15 +13,16 @@ and 9 * (l0 - l1), so for each of the six finite parts the slabs are a
 lattice box: integer ranges on l1, l0 and l0 - l1.  A hull carries its
 slab bounds and those six boxes, and Hull.contains(x), the one
 membership test, compares x's coordinates with the box of its finite part;
-leq(x, w) is hull_of(w).contains(x).
+leq(x, w) is hull_of(w).contains(x), with both calls inlined.
 
-Hull is the one hull type and hull_of the one builder and memo: off the
-strips the hull is the Bruhat hexagon and also carries its three
-hyperplanes and chamber parity, on them it is the spiral quadrilateral
-or chain with neither.  shell_of reads a center's shell off the slab
-bounds.  Lines are (direction, trans value) pairs; line_meet intersects
-two of them exactly, and triangle_test decides membership in the closed
-triangle that three of them cut out.
+Hull is the one hull type and hull_of its one builder, memoized in a
+plain dict of the memos registry that leq reads in place.  Off the strips
+the hull is the Bruhat hexagon and also carries its three hyperplanes and
+chamber parity; on them it is the spiral quadrilateral or chain with
+neither.  shell_of reads a center's shell off the slab bounds.  Lines are
+(direction, trans value) pairs; line_meet intersects two of them exactly,
+and triangle_test decides membership in the closed triangle that three of
+them cut out.
 
 Along a root string in direction d the centers are p + t * unit(d) for
 integers t outside one residue class mod 3, and a step in t moves the other
@@ -37,7 +38,6 @@ word) is provided for cross-checking.
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 from .alcove import (
@@ -59,6 +59,7 @@ from .alcove import (
     length,
     pairing,
 )
+from .memos import memo
 
 # Transverse coordinates: trans(p, d) = a*p[0] + b*p[1] with (a, b) = _TRANS[d]
 # is constant exactly on root strings in direction d, and consecutive
@@ -184,7 +185,8 @@ class Hull(NamedTuple):
 
     def contains(self, x):
         """Whether the element x = t(l0, l1) * f lies in the hull: three
-        integer ranges on its coordinates, with no center built."""
+        integer ranges on its coordinates, with no center built.  leq
+        repeats this test inline."""
         (l0, l1), f = x
         a1, b1, a0, b0, ad, bd = self.boxes[f]
         return a1 <= l1 <= b1 and a0 <= l0 <= b0 and ad <= l0 - l1 <= bd
@@ -224,7 +226,9 @@ def hexagon(w):
     return hull_of(w)
 
 
-@functools.cache
+_HULLS = memo("bruhat.hull_of")
+
+
 def hull_of(w):
     """The hull of the interval below w.
 
@@ -237,25 +241,40 @@ def hull_of(w):
     diagram symmetries, which permute the letters); for l <= 1 the hull
     is the chain down to e.
     """
+    try:
+        return _HULLS[w]
+    except KeyError:
+        pass
     if not is_spiral(w):
         hyperplanes = tuple(Reflection(*wall) for wall in chamber_walls(chamber_of(w)))
         ra, rb, rg = (r.element() for r in hyperplanes)
         w1, w5 = ra * w, rb * w
         vertices = (w, w1, rg * w1, rg * w, rg * w5, w5)
-        return Hull(w, vertices, *_bounds(vertices), hyperplanes, chamber_parity(w))
-    if length(w) <= 1:
-        vertices = (w,) if w == E else (w, E)
+        h = Hull(w, vertices, *_bounds(vertices), hyperplanes, chamber_parity(w))
     else:
-        i, j = half_strip_pattern(w)
-        si, sj = SIMPLES[i], SIMPLES[j]
-        v3 = (si * sj * si) * w
-        vertices = (w, si * w, si * v3, v3)
-    return Hull(w, vertices, *_bounds(vertices))
+        if length(w) <= 1:
+            vertices = (w,) if w == E else (w, E)
+        else:
+            i, j = half_strip_pattern(w)
+            si, sj = SIMPLES[i], SIMPLES[j]
+            v3 = (si * sj * si) * w
+            vertices = (w, si * w, si * v3, v3)
+        h = Hull(w, vertices, *_bounds(vertices))
+    return _HULLS.setdefault(w, h)
 
 
 def leq(x, w):
-    """Bruhat order x <= w, decided by hull membership."""
-    return hull_of(w).contains(x)
+    """Bruhat order x <= w, decided by hull membership: Hull.contains,
+    inlined on the hull read from hull_of's memo in place.  leq is the
+    hottest call in the package, and a call to hull_of and one to contains
+    cost more than the box test itself."""
+    try:
+        h = _HULLS[w]
+    except KeyError:
+        h = hull_of(w)
+    (l0, l1), f = x
+    a1, b1, a0, b0, ad, bd = h.boxes[f]
+    return a1 <= l1 <= b1 and a0 <= l0 <= b0 and ad <= l0 - l1 <= bd
 
 
 class NotComparableError(ValueError):

@@ -8,7 +8,6 @@ violation (spiral-only operations, x not below w), 4 verification failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -22,6 +21,7 @@ from .alcove import (
 from .bruhat import NotComparableError, hexagon, hexagon_to_dict, leq, leq_oracle, require_below
 from .kumar import equivariant_multiplicity, kumar_smooth
 from .loci import enumerate_smooth_varieties, locus_report
+from .memos import memo
 from .qstat import q_table, q_value
 from .render import LABELS, LAYERS, RenderSpec, render, validate_spec
 from .verify import SUITES, run_suite
@@ -32,9 +32,15 @@ EXIT_PRECONDITION = 3
 EXIT_VERIFY = 4
 
 
-@functools.cache
+_PARSERS = memo("cli._build_parser")  # its one entry is under None
+
+
 def _build_parser():
     """The argparse tree, built once per process: run only parses with it."""
+    try:
+        return _PARSERS[None]
+    except KeyError:
+        pass
     parser = argparse.ArgumentParser(
         prog="schubert-a2",
         description="Exact Schubert-variety singularity analysis for affine type A2.",
@@ -82,7 +88,7 @@ def _build_parser():
                    help="comma list from: %s" % ",".join(LAYERS))
     p.add_argument("--labels", default="none", choices=LABELS)
     p.add_argument("--payload", default="hexagon", choices=["hexagon", "q", "locus"])
-    return parser
+    return _PARSERS.setdefault(None, parser)
 
 
 def _fmt_bool(b):

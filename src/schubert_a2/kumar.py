@@ -28,8 +28,6 @@ passes from the identity.
 
 from __future__ import annotations
 
-import functools
-
 from .alcove import (
     _FIN_MATS,
     E,
@@ -43,6 +41,7 @@ from .alcove import (
     word_to_element,
 )
 from .bruhat import chords, hull_of, leq, require_below
+from .memos import memo
 from .rational import RationalNF, _nf, p_const
 
 BETA = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -251,15 +250,23 @@ def multiplicity_table(word):
     return table
 
 
-@functools.cache
+_TABLES = memo("kumar.multiplicity_table_of")
+
+
 def multiplicity_table_of(w):
     """The multiplicity table of element_to_word(w), one letter past the
     memoized table of w * s_i for the word's last letter i:
     element_to_word(w) is element_to_word(w * s_i) followed by i."""
+    try:
+        return _TABLES[w]
+    except KeyError:
+        pass
     if w == E:
-        return {E: RationalNF.integer(1)}
-    i = element_to_word(w)[-1]
-    return _extend(multiplicity_table_of(w * SIMPLES[i]), i)
+        table = {E: RationalNF.integer(1)}
+    else:
+        i = element_to_word(w)[-1]
+        table = _extend(multiplicity_table_of(w * SIMPLES[i]), i)
+    return _TABLES.setdefault(w, table)
 
 
 def equivariant_multiplicity(w, x, word=None):

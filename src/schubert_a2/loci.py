@@ -30,15 +30,15 @@ from .alcove import (
     type_of,
     word_deletions,
 )
-from .bruhat import hull_of, interval, leq, shell_of
+from .bruhat import hull_of, interval, leq
 from .qstat import (
     QTable,
+    _brute_rows,
     _walk_rows,
     codimension,
     down_closure,
     is_rationally_smooth,
     maximal_nrs,
-    q_table,
 )
 
 
@@ -275,22 +275,17 @@ def locus_report(w):
     The q table is built once and gives the nrs set; a spiral owner's nrs
     set is the down-closure of its closed-form maximal nrs points, and its
     smooth points and both codimensions are read off the maximal points
-    computed here.  Off the strips the table's walk also gives each
-    member's shell, and on them the smooth points come from the table's
+    computed here.  The rows that build the table also give each member's
+    shell, and on the strips the smooth points come from the table's
     interval.  A record's length is that of x's reduced word."""
     max_nrs = maximal_nrs(w)
     max_sing = maximal_singular(w)
-    if is_spiral(w):
-        tab = q_table(w)
-        h = hull_of(w)
-        shells = {x: shell_of(h, x.center()) for x in tab.entries}
-        smooth = _spiral_smooth_points(tab.entries, max_sing)
-    else:
-        entries, shells = {}, {}
-        for x, k, qt in _walk_rows(w):
-            entries[x], shells[x] = qt, k
-        tab = QTable(w, entries)
-        smooth = smooth_points(w)
+    spiral = is_spiral(w)
+    entries, shells = {}, {}
+    for x, k, qt in _brute_rows(w) if spiral else _walk_rows(w):
+        entries[x], shells[x] = qt, k
+    tab = QTable(w, entries)
+    smooth = _spiral_smooth_points(entries, max_sing) if spiral else smooth_points(w)
     nrs_members = tab.nrs()
     words = format_words(tab.entries)
     members = sorted(words, key=lambda x: (len(words[x]), words[x]))

@@ -65,6 +65,7 @@ from .bruhat import (
     trans,
     triangle_test,
 )
+from .memos import memo
 
 
 def _reflection_count(h, c):
@@ -116,8 +117,14 @@ class _Base4Geometry(NamedTuple):
     blue: dict  # (direction, value) -> list of segment centers (shell >= 2)
 
 
-@functools.cache
+_GEOMETRIES = memo("qstat._base4_geometry")
+
+
 def _base4_geometry(w):
+    try:
+        return _GEOMETRIES[w]
+    except KeyError:
+        pass
     hx = hull_of(w)
     segs = special_segments(hx)
     nonempty = [i for i, s in enumerate(segs) if s]
@@ -145,7 +152,7 @@ def _base4_geometry(w):
             seg.sort(key=lambda c: pairing(c, d))
             blue[(d, v)] = seg
     red = triangle_test([lines[0], lines[4], lines[5]])
-    return _Base4Geometry(lines, red, blue)
+    return _GEOMETRIES.setdefault(w, _Base4Geometry(lines, red, blue))
 
 
 def _base4_interior_value(w, c):
@@ -291,10 +298,19 @@ def _walk_rows(w):
         yield x, k, _q_walk(top, c, k)
 
 
+def _brute_rows(w):
+    """(x, k, (q, "brute")) for every x <= w, with k the shell of x on w's
+    hull: each member's center is read once, and q_brute's reflection
+    count and the shell are both taken from it."""
+    h, n = hull_of(w), length(w)
+    for x in interval(w):
+        c = x.center()
+        yield x, shell_of(h, c), (_reflection_count(h, c) - n, "brute")
+
+
 def q_table(w):
-    if is_spiral(w):
-        return QTable(w, {x: (q_brute(w, x), "brute") for x in interval(w)})
-    return QTable(w, {x: qt for x, _, qt in _walk_rows(w)})
+    rows = _brute_rows(w) if is_spiral(w) else _walk_rows(w)
+    return QTable(w, {x: qt for x, _, qt in rows})
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +395,9 @@ def _spiral_maximal_nrs(w):
     return frozenset(word_deletions(w, deleted))
 
 
-@functools.cache
+_MAXIMAL_NRS = memo("qstat.maximal_nrs")
+
+
 def maximal_nrs(w):
     """The Bruhat-maximal nrs points below w, as a frozenset.
 
@@ -388,6 +406,15 @@ def maximal_nrs(w):
     exception for odd chambers, and one or two word deletions for spiral w
     (_spiral_maximal_nrs).
     """
+    try:
+        return _MAXIMAL_NRS[w]
+    except KeyError:
+        pass
+    return _MAXIMAL_NRS.setdefault(w, _maximal_nrs(w))
+
+
+def _maximal_nrs(w):
+    """maximal_nrs(w), computed."""
     if is_spiral(w):  # the identity included
         return _spiral_maximal_nrs(w)
     if is_rationally_smooth(w):

@@ -46,8 +46,9 @@ cheap because a cancelled numerator limits what can cancel next:
 
 from __future__ import annotations
 
-import functools
 import math
+
+from .memos import memo
 
 
 ZERO_EXP = (0, 0, 0)
@@ -111,7 +112,9 @@ def p_mul_form(a, form):
     return out
 
 
-@functools.cache
+_PLANS = memo("rational._division_plan")
+
+
 def _division_plan(form):
     """(pivot, cp, shift, rest, point): what long division by a nonzero
     linear form needs, computed once per form.
@@ -127,6 +130,10 @@ def _division_plan(form):
     Raises ValueError for a form whose coefficients share a factor: such a
     form is not irreducible, and the normal form rests on irreducibility.
     """
+    try:
+        return _PLANS[form]
+    except KeyError:
+        pass
     if math.gcd(*form) != 1:
         raise ValueError("linear form %r is not primitive" % (form,))
     for pivot, cp in enumerate(form):
@@ -143,7 +150,7 @@ def _division_plan(form):
     i, j = (k for k in range(3) if k != pivot)
     point = [0, 0, 0]
     point[i], point[j], point[pivot] = cp, 2 * cp, -(form[i] + 2 * form[j])
-    return pivot, cp, shift, rest, tuple(point)
+    return _PLANS.setdefault(form, (pivot, cp, shift, rest, tuple(point)))
 
 
 def p_div_form(a, form):
@@ -267,15 +274,22 @@ class RationalNF:
     def sum_divided_by_form(self, other, form):
         """((self + other).divided_by_form(form), its negative), with other
         None for zero, in one step with one numerator negation: the pair
-        step of kumar's forward pass.  The sum is __add__'s, so it is
-        cancelled, and then only the form can divide it.  The form's sign
-        says which of the quotient and its negative comes first."""
+        step of kumar's forward pass.  The sum is taken over the common
+        denominator as in __add__, the form's root joins that denominator,
+        and one _cancel tries the forms both addends carry equally often
+        and the root: only those can divide the summed numerator
+        (_over_common_den).  The form's sign says which of the quotient and
+        its negative comes first."""
         root, sign = _positive_form(form)
-        total = self if other is None else self + other
-        num, den = total.num, total.den
+        if other is None:
+            num, den, forms = self.num, self.den, (root,)
+        else:
+            den, a, b, shared = _over_common_den(self, other)
+            num, forms = p_add(a, b), shared | {root}
         if num:
-            # one trial: a root already in den does not divide num
-            num, den = _cancel(num, sorted(den + (root,)), (root,))
+            num, den = _cancel(num, sorted(den + (root,)), forms)
+        else:
+            den = ()
         pos = _nf(num, den)
         neg = _nf(p_neg(num), den)
         return (pos, neg) if sign == 1 else (neg, pos)
@@ -359,10 +373,16 @@ def _nf(num, den):
     return value
 
 
-@functools.cache
+_FORM_STRS = memo("rational._form_str")
+
+
 def _form_str(form):
     """One denominator factor as printed; there are few distinct forms."""
-    return "(%s)" % p_str(form_poly(form))
+    try:
+        return _FORM_STRS[form]
+    except KeyError:
+        pass
+    return _FORM_STRS.setdefault(form, "(%s)" % p_str(form_poly(form)))
 
 
 def _positive_form(form):

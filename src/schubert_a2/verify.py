@@ -13,7 +13,6 @@ Every row checks exactly the bound it is given, and all checks are exact.
 
 from __future__ import annotations
 
-import functools
 import time
 from typing import NamedTuple
 
@@ -54,6 +53,7 @@ from .loci import (
     singular_codim,
     smooth_points,
 )
+from .memos import memo
 from .qstat import (
     bruhat_maximal,
     down_closure,
@@ -81,13 +81,20 @@ class Criterion(NamedTuple):
     facts: object = None  # bound -> failed census facts that are not per owner
 
 
-@functools.cache
+_OWNERS = memo("verify._owners")
+
+
 def _owners(bound):
     """(word, element, is spiral) for every owner of length <= bound, by
     length then word."""
+    try:
+        return _OWNERS[bound]
+    except KeyError:
+        pass
     words = format_words(elements_of_length_at_most(bound))
     owners = [(word, w, is_spiral(w)) for w, word in words.items()]
-    return tuple(sorted(owners, key=lambda o: (len(o[0]), o[0])))
+    owners.sort(key=lambda o: (len(o[0]), o[0]))
+    return _OWNERS.setdefault(bound, tuple(owners))
 
 
 def _reported(check, arg, label=None):
@@ -101,10 +108,16 @@ def _reported(check, arg, label=None):
         return [name if label is None else "%s %s" % (name, label)]
 
 
-@functools.cache
+_ELEMENTS = memo("verify._elements")
+
+
 def _elements(bound):
     """Every element of length <= bound, as a tuple."""
-    return tuple(elements_of_length_at_most(bound))
+    try:
+        return _ELEMENTS[bound]
+    except KeyError:
+        pass
+    return _ELEMENTS.setdefault(bound, tuple(elements_of_length_at_most(bound)))
 
 
 def _hull(w):

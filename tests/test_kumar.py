@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from schubert_a2 import rational
+from schubert_a2 import kumar, rational
 from schubert_a2.alcove import (
     E,
     AffineElement,
@@ -46,6 +46,7 @@ from schubert_a2.kumar import (
     smoothness_target,
 )
 from schubert_a2.loci import elements_of_length_at_most
+from schubert_a2.memos import MEMOS
 from schubert_a2.qstat import NotComparableError, q_brute
 from schubert_a2.rational import RationalNF, p_const
 import walk
@@ -208,7 +209,7 @@ def test_memoized_tables_extend_their_prefix():
     no memo."""
     owners = sorted(elements_of_length_at_most(10), key=lambda w: (length(w), format_word(w)))
     random.Random(10).shuffle(owners)
-    multiplicity_table_of.cache_clear()
+    MEMOS["kumar.multiplicity_table_of"].clear()
     for w in owners:
         memo = multiplicity_table_of(w)
         ((_, fresh),) = multiplicity_tables([element_to_word(w)])
@@ -266,8 +267,6 @@ def test_word_tables_extend_only_past_the_longest_canonical_prefix(monkeypatch):
     step per letter after the word's longest canonical prefix, and its
     table is the two-branch reference's in keys, key order and printed
     values."""
-    from schubert_a2 import kumar
-
     owners = sorted(elements_of_length_at_most(10), key=lambda w: (length(w), format_word(w)))
     for w in owners:
         multiplicity_table_of(w)
@@ -294,17 +293,26 @@ def test_word_tables_extend_only_past_the_longest_canonical_prefix(monkeypatch):
     assert extended < letters
 
 
-def test_word_route_of_equivariant_multiplicity_reads_no_memo():
+def test_word_route_of_equivariant_multiplicity_reads_no_memo(monkeypatch):
     """equivariant_multiplicity with a word is a second route to the
-    memoized value: a fresh pass that neither reads nor fills the memo."""
-    multiplicity_table_of.cache_clear()
+    memoized value: a fresh pass that neither reads nor fills the memo.
+    Reading the memo means calling multiplicity_table_of, which raises
+    here, and filling it would change the memo's entries."""
+    memo = MEMOS["kumar.multiplicity_table_of"]
+    memo.clear()
     multiplicity_table_of(parse_word("0121"))
-    before = multiplicity_table_of.cache_info()
+    before = dict(memo)
+
+    def raising(w):
+        raise AssertionError("the memo was read")
+
+    monkeypatch.setattr(kumar, "multiplicity_table_of", raising)
     for text in ("01210", "012101", "0121"):
         w = parse_word(text)
         value = equivariant_multiplicity(w, E, [int(c) for c in text])
         assert value == walk.multiplicity_table([int(c) for c in text])[E]
-    assert multiplicity_table_of.cache_info() == before
+    assert memo.keys() == before.keys()
+    assert all(memo[w] is table for w, table in before.items())
 
 
 def test_forward_pass_negates_once_per_pair_and_multiplies_nothing(monkeypatch):

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from schubert_a2.alcove import (
+    AffineElement,
     E,
     chamber_parity,
     format_word,
@@ -20,8 +21,8 @@ from schubert_a2.alcove import (
     word_to_element,
 )
 from schubert_a2 import kumar, loci, qstat, verify
-from schubert_a2.bruhat import hexagon, hull_of, interval, leq
-from schubert_a2.kumar import kumar_smooth_set, multiplicity_table_of
+from schubert_a2.bruhat import hexagon, hull_of, interval, leq, shell_of
+from schubert_a2.kumar import kumar_smooth_set
 from schubert_a2.loci import (
     attached_edge_lengths,
     classify_schubert,
@@ -34,10 +35,12 @@ from schubert_a2.loci import (
     singular_codim,
     smooth_points,
 )
+from schubert_a2.memos import MEMOS
 from schubert_a2.qstat import (
     bruhat_maximal,
     maximal_nrs,
     nrs_codimension,
+    q_brute,
     q_table,
 )
 from walk import walk_between
@@ -308,20 +311,21 @@ def test_locus_report_evaluates_each_locus_once(word, monkeypatch):
 
     for module in (kumar, verify):
         monkeypatch.setattr(module, "kumar_smooth_set", counting)
-    maximal_nrs.cache_clear()
+    memo = MEMOS["qstat.maximal_nrs"]
+    memo.clear()
     locus_report(w)
-    assert maximal_nrs.cache_info().misses == 1
+    assert list(memo) == [w]  # one miss: one key stored
     assert calls == []
 
 
 def test_spiral_locus_report_builds_one_table(monkeypatch):
     """A spiral report builds its q table and its nrs down-closure once:
     the maximal nrs points and both codimensions are word deletions, and
-    the table's nrs set closes them downward.  The table is counted where
-    the report reads it.  (The smooth locus's closure of the maximal
-    singular points is loci's own call, which the qstat wrappers do not
-    see.)"""
-    calls = {"q_table": 0, "down_closure": 0}
+    the table's nrs set closes them downward.  The table's rows are
+    counted where the report reads them.  (The smooth locus's closure of
+    the maximal singular points is loci's own call, which the qstat
+    wrappers do not see.)"""
+    calls = {"_brute_rows": 0, "down_closure": 0}
 
     def counting(name):
         fn = getattr(qstat, name)
@@ -334,26 +338,62 @@ def test_spiral_locus_report_builds_one_table(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(qstat, name, counting(name))
-    monkeypatch.setattr(loci, "q_table", qstat.q_table)
-    maximal_nrs.cache_clear()
+    monkeypatch.setattr(loci, "_brute_rows", qstat._brute_rows)
+    MEMOS["qstat.maximal_nrs"].clear()
     w = parse_word("2102102102102")
     assert is_spiral(w)
     locus_report(w)
-    assert calls == {"q_table": 1, "down_closure": 1}
+    assert calls == {"_brute_rows": 1, "down_closure": 1}
 
 
 def test_non_spiral_locus_report_reads_shells_off_the_q_walk(monkeypatch):
     """Off the strips a record's shell is the top shell the q walk read:
-    every non-spiral report with l <= 10 is unchanged when loci.shell_of
-    raises."""
+    every non-spiral report with l <= 10 is unchanged, and reads exactly
+    the shells that its owner's q table reads, in the same order."""
     owners = [w for w in elements_of_length_at_most(10) if not is_spiral(w)]
     expected = [locus_report(w).to_dict() for w in owners]
+    reads = []
+    shell_of = qstat.shell_of
 
-    def raising(*args):
-        raise AssertionError("loci.shell_of called")
+    def counting(h, c):
+        reads.append((h.owner, c))
+        return shell_of(h, c)
 
-    monkeypatch.setattr(loci, "shell_of", raising)
-    assert [locus_report(w).to_dict() for w in owners] == expected
+    monkeypatch.setattr(qstat, "shell_of", counting)
+    for w, report in zip(owners, expected):
+        reads.clear()
+        q_table(w)
+        table_reads = list(reads)
+        reads.clear()
+        assert locus_report(w).to_dict() == report, format_word(w)
+        assert reads == table_reads, format_word(w)
+
+
+def test_spiral_locus_report_reads_each_center_once(monkeypatch):
+    """On the strips a record's q and shell are q_brute's and shell_of's,
+    for every spiral owner with l <= 14, and the rows they come from read
+    each member's center once."""
+    spirals = [w for w in elements_of_length_at_most(14) if is_spiral(w)]
+    for w in spirals:
+        h = hull_of(w)
+        report = locus_report(w)
+        for x, record in zip(report.members, report.records):
+            assert record["q"] == q_brute(w, x), (format_word(w), record)
+            assert record["shell"] == shell_of(h, x.center()), (format_word(w), record)
+    reads = []
+    center = AffineElement.center
+
+    def counting(x):
+        reads.append(x)
+        return center(x)
+
+    monkeypatch.setattr(AffineElement, "center", counting)
+    for w in spirals:
+        members = interval(w)
+        reads.clear()
+        rows = list(qstat._brute_rows(w))
+        assert [x for x, _, _ in rows] == list(members)
+        assert sorted(reads) == sorted(members), format_word(w)
 
 
 def test_spiral_locus_report_reads_the_interval_once(monkeypatch):
@@ -377,9 +417,10 @@ def test_spiral_locus_report_reads_the_interval_once(monkeypatch):
 def test_spiral_locus_report_builds_no_multiplicity_table():
     w = parse_word("2102102102102")
     assert is_spiral(w)
-    multiplicity_table_of.cache_clear()
+    memo = MEMOS["kumar.multiplicity_table_of"]
+    memo.clear()
     locus_report(w)
-    assert multiplicity_table_of.cache_info().misses == 0
+    assert memo == {}
 
 
 def test_spiral_locus_report_computes_its_maximal_singular_points_once(monkeypatch):

@@ -47,6 +47,7 @@ from schubert_a2.bruhat import (
 )
 from schubert_a2.kumar import psi_set
 from schubert_a2.loci import elements_of_length_at_most, smooth_points
+from schubert_a2.memos import MEMOS
 from schubert_a2.qstat import (
     NotComparableError,
     bruhat_maximal,
@@ -269,7 +270,7 @@ def test_spiral_maximal_nrs_reads_no_table(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(qstat, name, counting(name))
-    maximal_nrs.cache_clear()
+    MEMOS["qstat.maximal_nrs"].clear()
     for word in ("012012", "2102102102102", "12012012012012"):
         w = parse_word(word)
         assert is_spiral(w) and maximal_nrs(w)
@@ -365,16 +366,29 @@ def test_q_tables_are_pinned():
     )
 
 
-def test_nrs_set_is_one_memoized_frozenset():
+def test_nrs_set_is_one_memoized_frozenset(monkeypatch):
     """The nrs locus of w is held as one memoized frozenset, its maximal
-    points: every nrs(w, x) query reads it without recomputing it."""
+    points: every nrs(w, x) query reads it without recomputing it.  The
+    reads are counted at maximal_nrs, and a recomputation would call
+    _maximal_nrs, which raises here."""
     w = parse_word("0120120102")
-    maximal_nrs.cache_clear()
-    assert isinstance(maximal_nrs(w), frozenset)
-    misses = maximal_nrs.cache_info().misses
+    MEMOS["qstat.maximal_nrs"].clear()
+    points = maximal_nrs(w)
+    assert isinstance(points, frozenset)
+    reads = []
+
+    def counting(v):
+        reads.append(v)
+        return maximal_nrs(v)
+
+    def raising(v):
+        raise AssertionError("maximal_nrs recomputed")
+
+    monkeypatch.setattr(qstat, "maximal_nrs", counting)
+    monkeypatch.setattr(qstat, "_maximal_nrs", raising)
     assert [x for x in interval(w) if nrs(w, x)]
-    info = maximal_nrs.cache_info()
-    assert info.misses == misses and info.hits == len(interval(w))
+    assert reads == [w] * len(interval(w))
+    assert maximal_nrs(w) is points
 
 
 def test_spiral_nrs_set_counts_no_reflections(monkeypatch):
@@ -388,13 +402,13 @@ def test_spiral_nrs_set_counts_no_reflections(monkeypatch):
         return brute(w, x)
 
     monkeypatch.setattr(qstat, "q_brute", counting)
-    maximal_nrs.cache_clear()
+    MEMOS["qstat.maximal_nrs"].clear()
     spirals = [w for w in elements_of_length_at_most(12) if is_spiral(w)]
     assert all(
         any(nrs(w, x) for x in interval(w)) for w in spirals if length(w) >= 4
     )
     assert calls == [0]
-    maximal_nrs.cache_clear()
+    MEMOS["qstat.maximal_nrs"].clear()
 
 
 def test_nrs_reads_the_maximal_nrs_points(monkeypatch):
@@ -418,7 +432,7 @@ def test_nrs_reads_the_maximal_nrs_points(monkeypatch):
 
     for name in ("q_table", "q_brute"):
         monkeypatch.setattr(qstat, name, counting(name))
-    maximal_nrs.cache_clear()
+    MEMOS["qstat.maximal_nrs"].clear()
     pairs = 0
     for w in owners:
         for x in interval(w):

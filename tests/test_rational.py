@@ -192,6 +192,19 @@ def test_cancel_keeps_a_form_whose_point_is_a_false_alarm():
         assert second.num == {e: -sign * c for e, c in g.items()}
 
 
+def test_pair_step_cancels_a_form_both_addends_carry():
+    # b1 / (b1 + b2) + b2 / (b1 + b2) = 1: the shared form cancels in the
+    # pair step's one _cancel, beside the new root, and when it is the root
+    f = (0, 1, 1)
+    x = RationalNF(form_poly((0, 1, 0)), (f,))
+    y = RationalNF(form_poly((0, 0, 1)), (f,))
+    for form, sign in (((1, 0, 0), 1), ((-1, 0, 0), -1), (f, 1), ((0, -1, -1), -1)):
+        root = tuple(sign * c for c in form)
+        first, second = x.sum_divided_by_form(y, form)
+        assert (first.num, first.den) == ({(0, 0, 0): sign}, (root,))
+        assert (second.num, second.den) == ({(0, 0, 0): -sign}, (root,))
+
+
 def _same(u, v):
     return (u.num, u.den) == (v.num, v.den)
 

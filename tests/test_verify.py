@@ -1,9 +1,12 @@
 """The verification harness itself: suites, criteria, bounds, failure reports."""
 
+import os
+
 import pytest
 
 from schubert_a2 import verify
 from schubert_a2.alcove import parse_word
+from schubert_a2.memos import MEMOS
 from schubert_a2.verify import CRITERIA, SUITES, run_criterion, run_suite
 
 
@@ -117,11 +120,11 @@ def rational_smoothness_mutant(monkeypatch):
     def mutant(w):
         return smooth(w) or (qstat.length(w) == 7 and not qstat.is_spiral(w))
 
-    qstat.maximal_nrs.cache_clear()
+    MEMOS["qstat.maximal_nrs"].clear()
     monkeypatch.setattr(qstat, "is_rationally_smooth", mutant)
     yield
     monkeypatch.undo()
-    qstat.maximal_nrs.cache_clear()
+    MEMOS["qstat.maximal_nrs"].clear()
 
 
 @pytest.mark.usefixtures("rational_smoothness_mutant")
@@ -162,56 +165,68 @@ def test_raising_checks_and_facts_are_reported(monkeypatch):
     ), result
 
 
-# Run in a fresh interpreter: every command once, each exiting 0, then
-# print the module-level dicts, lists and sets of the package that the
-# commands grew.
+# Every command once, each exiting 0 with --json; the render command
+# writes its SVG into the directory passed to every_command.
+def every_command(out_dir):
+    svg = os.path.join(out_dir, "p.svg")
+    return (["order", "0121", "01201201"], ["hexagon", "012101201"],
+            ["q", "012101201"], ["q", "2102102"], ["q", "01201201", "0120"],
+            ["nrs", "012101201"], ["smooth", "2102102102"],
+            ["classify", "0120120"], ["mult", "01210120", "0121"],
+            ["enumerate-smooth"], ["verify", "--max-length", "6"],
+            ["render", "012101201", "--labels", "words", "--payload", "locus",
+             "--layers", "lattice,smooth,shells", "--out", svg])
+
+
+# Run in a fresh interpreter: every command once, then print the
+# module-level dicts, lists and sets of the package that the commands grew
+# outside the memo registry, and on a second line the registered memos
+# that they left empty.
 _GROWN_STATE_PROBE = """
-import contextlib, importlib, io, os, pkgutil, sys, tempfile
+import contextlib, importlib, io, pkgutil, tempfile
 import schubert_a2
 from schubert_a2 import cli
+from schubert_a2.memos import MEMOS
+from test_verify import every_command
+
+registered = {id(table) for table in MEMOS.values()}
 
 def containers():
     out = {}
     for info in pkgutil.iter_modules(schubert_a2.__path__):
         module = importlib.import_module("schubert_a2." + info.name)
         for name, obj in vars(module).items():
-            if isinstance(obj, (dict, list, set)):
+            if isinstance(obj, (dict, list, set)) and id(obj) not in registered:
                 out["%s.%s" % (info.name, name)] = len(obj)
     return out
 
 before = containers()
-svg = os.path.join(tempfile.mkdtemp(), "p.svg")
-with contextlib.redirect_stdout(io.StringIO()):
-    for argv in (["order", "0121", "01201201"], ["hexagon", "012101201"],
-                 ["q", "012101201"], ["q", "2102102"], ["q", "01201201", "0120"],
-                 ["nrs", "012101201"], ["smooth", "2102102102"],
-                 ["classify", "0120120"], ["mult", "01210120", "0121"],
-                 ["enumerate-smooth"], ["verify", "--max-length", "6"],
-                 ["render", "012101201", "--labels", "words", "--payload", "locus",
-                  "--layers", "lattice,smooth,shells", "--out", svg]):
+with tempfile.TemporaryDirectory() as out_dir, contextlib.redirect_stdout(io.StringIO()):
+    for argv in every_command(out_dir):
         assert cli.run(argv + ["--json"]) == 0, argv
 after = containers()
 print(" ".join(sorted(k for k in after if after[k] != before.get(k))))
+print(" ".join(sorted(name for name, table in MEMOS.items() if not table)))
 """
 
 
 def test_process_wide_memos_are_these_twelve():
-    """The package's process-wide memos are exactly these twelve: eleven
-    callables defined in its modules that carry cache_info, and the word
-    memo alcove._WORDS, the one module-level container that a fresh
-    interpreter's run of every command grows.  The only cached properties
-    are the two of qstat._Level.  A memo that a mutant or a recorder must
-    clear is listed here on purpose."""
+    """The package's process-wide memos are exactly these twelve plain
+    dicts, registered in memos.MEMOS under the names of the functions
+    whose values they hold.  A fresh interpreter's run of every command
+    grows each of them and no other module-level container.  The only
+    cached properties are the two of qstat._Level.  A memo that a mutant
+    or a recorder must clear is listed here on purpose."""
     import functools
     import importlib
-    import os
     import pkgutil
     import subprocess
     import sys
+    from pathlib import Path
 
     import schubert_a2
 
-    memos, properties = set(), set()
+    properties = set()
     for info in pkgutil.iter_modules(schubert_a2.__path__):
         module = importlib.import_module("schubert_a2." + info.name)
         owners = [module] + [
@@ -220,20 +235,12 @@ def test_process_wide_memos_are_these_twelve():
         ]
         for owner in owners:
             for obj in vars(owner).values():
-                if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
-                    memos.add("%s.%s" % (info.name, obj.__qualname__))
                 if isinstance(obj, functools.cached_property):
                     properties.add("%s.%s" % (info.name, obj.func.__qualname__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    done = subprocess.run(
-        [sys.executable, "-c", _GROWN_STATE_PROBE],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    memos.update(done.stdout.split())
-    assert memos == {
+    assert set(MEMOS) == {
         "alcove.length",
         "alcove.element_from_center",
-        "alcove._WORDS",
+        "alcove.format_word",
         "bruhat.hull_of",
         "qstat._base4_geometry",
         "qstat.maximal_nrs",
@@ -244,7 +251,62 @@ def test_process_wide_memos_are_these_twelve():
         "verify._elements",
         "cli._build_parser",
     }
+    assert all(type(table) is dict for table in MEMOS.values())
     assert properties == {"qstat._Level.below", "qstat._Level.special"}
+    path = [str(Path(__file__).parent)] + sys.path
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", _GROWN_STATE_PROBE],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout == "\n\n"
+
+
+def test_clear_memos_is_a_full_reset(capsys, tmp_path):
+    """After a run of every command, which fills every registered memo,
+    clear_memos() leaves each of them empty, and a second verify run in
+    the same process prints the same JSON as the first, seconds aside."""
+    import json
+
+    from schubert_a2 import cli, clear_memos
+
+    def verify_json():
+        assert cli.run(["verify", "--suite", "all", "--max-length", "8", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        for row in data["results"]:
+            del row["seconds"]
+        return data
+
+    for argv in every_command(str(tmp_path)):
+        assert cli.run(argv + ["--json"]) == 0, argv
+    capsys.readouterr()
+    first = verify_json()
+    assert all(MEMOS.values())
+    clear_memos()
+    assert {name: len(table) for name, table in MEMOS.items()} == dict.fromkeys(MEMOS, 0)
+    assert verify_json() == first
+
+
+def test_no_functools_memo_in_the_package():
+    """Every process-wide memo is a plain dict of the registry: no module
+    under the package uses functools.cache or functools.lru_cache, by
+    attribute or by import."""
+    import ast
+    from pathlib import Path
+
+    import schubert_a2
+
+    names = {"cache", "lru_cache"}
+    uses = []
+    for path in sorted(Path(schubert_a2.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr in names
+                    and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                uses.append("%s:%d functools.%s" % (path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                uses += ["%s:%d from functools import %s" % (path.name, node.lineno, a.name)
+                         for a in node.names if a.name in names]
+    assert uses == []
 
 
 def test_import_does_not_load_multiprocessing():
