@@ -17,13 +17,14 @@ present), one division by a linear form and one negation; z * s_i and
 z(b_i), affine-linear in z's lattice coordinates, come from one step table
 per finite part and letter (_STEP), with no group product, word or memo.
 
-multiplicity_table_of(w) memoizes the table of element_to_word(w), one
-letter past the table of its prefix.  multiplicity_table(word) starts from
-the memoized table of the word's longest canonical prefix and extends only
-the rest, so its result may be the memo's own dict and is read-only.  The
-oracles the memo is checked against read none of it: multiplicity_tables,
-the prefix-trie walk, and equivariant_multiplicity given a word are fresh
-passes from the identity.
+multiplicity_table_of(w) memoizes the table of the canonical word of w, the
+reduced word alcove prints, one letter past the table of its prefix: the
+last letter is the smallest right descent of w.  multiplicity_table(word)
+starts from the memoized table of the word's longest canonical prefix and
+extends only the rest, so its result may be the memo's own dict and is
+read-only.  The oracles the memo is checked against read none of it:
+multiplicity_tables, the prefix-trie walk, and equivariant_multiplicity
+given a word are fresh passes from the identity.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ from .alcove import (
     POSITIVE_ROOTS,
     SIMPLES,
     AffineElement,
-    Reflection,
     descents,
-    element_to_word,
     length,
     word_to_element,
 )
@@ -46,29 +45,8 @@ from .rational import RationalNF, _nf, p_const
 
 BETA = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-# Finite roots in the affine-root basis: a1 = b1, a2 = b2, at = b1 + b2.
-_FINITE_TRIPLES = {
-    (1, 0): (0, 1, 0),
-    (0, 1): (0, 0, 1),
-    (1, 1): (0, 1, 1),
-    (-1, 0): (0, -1, 0),
-    (0, -1): (0, 0, -1),
-    (-1, -1): (0, -1, -1),
-}
-_TRIPLE_TO_FINITE = {v: k for k, v in _FINITE_TRIPLES.items()}
-
-
-class NotRealRootError(ValueError):
-    pass
-
-
-def is_real_root(r):
-    shifted = (0, r[1] - r[0], r[2] - r[0])
-    return shifted in _TRIPLE_TO_FINITE
-
-
-def is_positive_real_root(r):
-    return is_real_root(r) and all(c >= 0 for c in r)
+# Positive finite roots over b0, b1, b2: a1 = b1, a2 = b2, at = b1 + b2.
+_FINITE_TRIPLES = {(1, 0): (0, 1, 0), (0, 1): (0, 0, 1), (1, 1): (0, 1, 1)}
 
 
 def simple_root_action(i, r):
@@ -109,32 +87,12 @@ def element_root_action(w, r):
     return tuple(sum(rj * row[3][m] for rj, row in zip(r, _STEP[f])) - k for m in range(3))
 
 
-def root_to_reflection(r):
-    """The geometric reflection of a positive real root.
-
-    A real root is a finite root a plus n*delta; it vanishes on the line
-    (a, v) = -n, so it maps to s_{a,-n}, normalized to a positive finite
-    root.  The convention is certified against word conjugation: the
-    reflection of w(b_i) equals w s_i w^{-1}.
-    """
-    if not is_positive_real_root(r):
-        raise NotRealRootError("not a positive real root: %r" % (r,))
-    n = r[0]
-    fin = _TRIPLE_TO_FINITE[(0, r[1] - n, r[2] - n)]
-    if fin in ((1, 0), (0, 1), (1, 1)):
-        return Reflection(fin, -n)
-    return Reflection((-fin[0], -fin[1]), n)
-
-
 def _level_root(d, k):
     """The positive real root of the reflection s_{d,k}, d a positive finite
-    root, the inverse of root_to_reflection: d - k * delta when k <= 0, else
-    -d + k * delta, with delta = b0 + b1 + b2."""
-    if k <= 0:
-        (a, b, c), n = _FINITE_TRIPLES[d], -k
-    else:
-        (a, b, c), n = _FINITE_TRIPLES[(-d[0], -d[1])], k
-    return (a + n, b + n, c + n)
+    root: d - k * delta when k <= 0, else k * delta - d, with delta = b0 +
+    b1 + b2.  The real root a + n * delta vanishes on the line (a, v) = -n."""
+    sign = 1 if k <= 0 else -1
+    return tuple(sign * (c - k) for c in _FINITE_TRIPLES[d])
 
 
 # Per positive finite root d, the roots of the levels 0 and 1; level k is
@@ -231,9 +189,9 @@ def multiplicity_table(word):
     product z, the sum of its reciprocal form products signed by the parity
     of the letters read so far; after the whole word that is the table.
     The pass starts from the memoized table of the word's longest prefix
-    that is element_to_word of its own product: word[:k + 1] is one exactly
-    when word[:k] is and word[k] is the smallest right descent of its
-    product.  Only the letters after that prefix are extended, so a
+    that is the canonical word of its own product: word[:k + 1] is one
+    exactly when word[:k] is and word[k] is the smallest right descent of
+    its product.  Only the letters after that prefix are extended, so a
     canonical word's table is the memo's own dict, and a returned table
     must not be mutated.
     """
@@ -254,9 +212,9 @@ _TABLES = memo("kumar.multiplicity_table_of")
 
 
 def multiplicity_table_of(w):
-    """The multiplicity table of element_to_word(w), one letter past the
-    memoized table of w * s_i for the word's last letter i:
-    element_to_word(w) is element_to_word(w * s_i) followed by i."""
+    """The multiplicity table of the canonical word of w, one letter past the
+    memoized table of w * s_i for the smallest right descent i of w: the
+    canonical word of w is that of w * s_i followed by i."""
     try:
         return _TABLES[w]
     except KeyError:
@@ -264,7 +222,7 @@ def multiplicity_table_of(w):
     if w == E:
         table = {E: RationalNF.integer(1)}
     else:
-        i = element_to_word(w)[-1]
+        i = min(descents(w))
         table = _extend(multiplicity_table_of(w * SIMPLES[i]), i)
     return _TABLES.setdefault(w, table)
 
@@ -319,20 +277,14 @@ def _setup_hypotheses(w, x, s, side):
     only once w < ws holds."""
     if not leq(x, w):
         raise SetupHypothesisError("x <= w fails")
-    if side == "right":
-        wbig = w * s
-        if not length(wbig) > length(w):
-            raise SetupHypothesisError("w < ws fails")
-        xbig = x * s
-        if leq(xbig, w):
-            raise SetupHypothesisError("xs not<= w fails")
-    else:
-        wbig = s * w
-        if not length(wbig) > length(w):
-            raise SetupHypothesisError("w < sw fails")
-        xbig = s * x
-        if leq(xbig, w):
-            raise SetupHypothesisError("sx not<= w fails")
+    right = side == "right"
+    ws, xs = ("ws", "xs") if right else ("sw", "sx")
+    wbig = w * s if right else s * w
+    if not length(wbig) > length(w):
+        raise SetupHypothesisError("w < %s fails" % ws)
+    xbig = x * s if right else s * x
+    if leq(xbig, w):
+        raise SetupHypothesisError("%s not<= w fails" % xs)
     return wbig, xbig
 
 

@@ -247,28 +247,20 @@ def render(spec, payload):
 
 
 def _strip_line_points(d, scaled_level, vp):
-    """Endpoints of the line (d, v)*3 = scaled_level clipped to the viewport."""
+    """Endpoints of the line d[0] * p1 + d[1] * p2 = scaled_level, that is
+    (d, v) * 3 = scaled_level, clipped to the viewport: its meets with the
+    four sides that lie in the box, the first and the last in sorted order."""
     p1min, p2min, p1max, p2max = vp
-    pts = []
-    if d == (0, 1):
-        if p2min <= scaled_level <= p2max:
-            pts = [(p1min, scaled_level), (p1max, scaled_level)]
-    elif d == (1, 0):
-        if p1min <= scaled_level <= p1max:
-            pts = [(scaled_level, p2min), (scaled_level, p2max)]
-    else:
-        # p1 + p2 = scaled_level
-        cands = []
-        for p1 in (p1min, p1max):
-            p2 = scaled_level - p1
-            if p2min <= p2 <= p2max:
-                cands.append((p1, p2))
-        for p2 in (p2min, p2max):
-            p1 = scaled_level - p2
-            if p1min < p1 < p1max:
-                cands.append((p1, p2))
-        pts = sorted(set(cands))[:2] if len(set(cands)) >= 2 else []
-    return [_xy(p) for p in pts]
+    a, b = d
+    pts = set()
+    for p1 in (p1min, p1max):
+        if b and p2min <= scaled_level - a * p1 <= p2max:
+            pts.add((p1, scaled_level - a * p1))
+    for p2 in (p2min, p2max):
+        if a and p1min <= scaled_level - b * p2 <= p1max:
+            pts.add((scaled_level - b * p2, p2))
+    pts = sorted(pts)
+    return [_xy(pts[0]), _xy(pts[-1])] if len(pts) >= 2 else []
 
 
 _EDGE_ORDER = (

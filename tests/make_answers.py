@@ -27,9 +27,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from schubert_a2 import cli  # noqa: E402
-from schubert_a2.alcove import format_words, is_spiral, length  # noqa: E402
+from schubert_a2.alcove import format_words, length  # noqa: E402
 from schubert_a2.kumar import multiplicity_table_of  # noqa: E402
-from schubert_a2.loci import elements_of_length_at_most  # noqa: E402
+from schubert_a2.verify import _owners  # noqa: E402
 
 PATH = ROOT / "tests" / "data" / "answers.json"
 MAX_LENGTH = 16
@@ -39,13 +39,6 @@ COMMANDS = ("q", "nrs", "smooth", "classify")  # hexagon runs off the spirals on
 
 def _digest(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def _owners(max_length):
-    """(word, element) for every owner with l <= max_length, by length then
-    word."""
-    words = format_words(elements_of_length_at_most(max_length))
-    return sorted(((word, w) for w, word in words.items()), key=lambda o: (len(o[0]), o[0]))
 
 
 def _cli(cmd, word):
@@ -68,11 +61,11 @@ def answers(max_length=MAX_LENGTH, table_max_length=TABLE_MAX_LENGTH):
     """The bounds, and per command (the table counted as one) a map from
     owner word to digest."""
     owners = _owners(max_length)
-    digests = {cmd: {word: _digest(_cli(cmd, word)) for word, _ in owners} for cmd in COMMANDS}
+    digests = {cmd: {word: _digest(_cli(cmd, word)) for word, _, _ in owners} for cmd in COMMANDS}
     digests["hexagon"] = {word: _digest(_cli("hexagon", word))
-                          for word, w in owners if not is_spiral(w)}
+                          for word, _, spiral in owners if not spiral}
     digests["table"] = {word: _digest(_table(w))
-                        for word, w in owners if length(w) <= table_max_length}
+                        for word, w, _ in owners if length(w) <= table_max_length}
     return {"max_length": max_length, "table_max_length": table_max_length, "digests": digests}
 
 
@@ -113,7 +106,6 @@ def main(argv=None):
         print("answers match: %d owners, %d tables"
               % (len(got["digests"]["q"]), len(got["digests"]["table"])))
         return 0
-    PATH.parent.mkdir(exist_ok=True)
     with open(PATH, "w") as fh:
         json.dump(answers(), fh, indent=1)
         fh.write("\n")

@@ -208,6 +208,13 @@ def test_wall_table_matches_the_length_reference():
         assert element_to_word(w) == walk.element_to_word(w), format_word(w)
 
 
+def test_last_letter_of_the_word_is_the_smallest_descent():
+    """The word ends in the smallest right descent, for every w != e with
+    l <= 12: kumar.multiplicity_table_of reads its last letter this way."""
+    for w in ELEMENTS_12[1:]:
+        assert element_to_word(w)[-1] == min(descents(w)), format_word(w)
+
+
 def test_word_digest():
     """format_word over every l <= 14 element, in sorted (lam, fin) order,
     is pinned by its sha256."""

@@ -25,22 +25,18 @@ from schubert_a2.alcove import (
 from schubert_a2.bruhat import interval, leq
 from schubert_a2.kumar import (
     BETA,
-    NotRealRootError,
     SetupHypothesisError,
     _STEP,
     _extend,
     _level_root,
     element_root_action,
     equivariant_multiplicity,
-    is_positive_real_root,
-    is_real_root,
     kumar_smooth,
     kumar_smooth_set,
     multiplicity_table,
     multiplicity_table_of,
     multiplicity_tables,
     psi_set,
-    root_to_reflection,
     setup_move_check,
     simple_root_action,
     smoothness_target,
@@ -50,6 +46,7 @@ from schubert_a2.memos import MEMOS
 from schubert_a2.qstat import NotComparableError, q_brute
 from schubert_a2.rational import RationalNF, p_const
 import walk
+from walk import NotRealRootError, is_positive_real_root, is_real_root, root_to_reflection
 
 ELEMENTS = sorted(elements_of_length_at_most(7), key=lambda w: (length(w), format_word(w)))
 

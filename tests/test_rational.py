@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from schubert_a2.kumar import (
     BETA,
-    is_positive_real_root,
     multiplicity_table_of,
     simple_root_action,
     smoothness_target,
@@ -33,6 +32,7 @@ from schubert_a2.rational import (
     p_mul,
     p_neg,
 )
+from walk import is_positive_real_root
 
 # alpha + n*delta for the finite roots alpha = b1, b2, b1 + b2
 ROOTS = [

@@ -30,7 +30,11 @@ points.
 
 psi_set is the reference for kumar.psi_set's chord arithmetic: it builds
 every reflection partner's center, the Reflection carrying x there, and the
-root whose reflection that is, found through kumar.root_to_reflection.
+root whose reflection that is, found through root_to_reflection.
+
+root_to_reflection maps a positive real root to its geometric reflection,
+the inverse of kumar._level_root; is_real_root and is_positive_real_root
+recognise the triples it accepts.
 
 multiplicity_table is the reference for kumar's pair step: each partial
 product z branches to z and z * s_i with its own division by z(b_i), the
@@ -77,13 +81,7 @@ from schubert_a2.bruhat import (
     string_direction,
     trans,
 )
-from schubert_a2.kumar import (
-    BETA,
-    _FINITE_TRIPLES,
-    is_positive_real_root,
-    root_to_reflection,
-    simple_root_action,
-)
+from schubert_a2.kumar import BETA, simple_root_action
 from schubert_a2.qstat import q_brute
 from schubert_a2.rational import RationalNF
 
@@ -284,6 +282,48 @@ def act(w, point):
         a * point[0] + b * point[1] + 3 * (2 * l0 - l1),
         c * point[0] + d * point[1] + 3 * (2 * l1 - l0),
     )
+
+
+# Finite roots in the affine-root basis: a1 = b1, a2 = b2, at = b1 + b2.
+_FINITE_TRIPLES = {
+    (1, 0): (0, 1, 0),
+    (0, 1): (0, 0, 1),
+    (1, 1): (0, 1, 1),
+    (-1, 0): (0, -1, 0),
+    (0, -1): (0, 0, -1),
+    (-1, -1): (0, -1, -1),
+}
+_TRIPLE_TO_FINITE = {v: k for k, v in _FINITE_TRIPLES.items()}
+
+
+class NotRealRootError(ValueError):
+    pass
+
+
+def is_real_root(r):
+    shifted = (0, r[1] - r[0], r[2] - r[0])
+    return shifted in _TRIPLE_TO_FINITE
+
+
+def is_positive_real_root(r):
+    return is_real_root(r) and all(c >= 0 for c in r)
+
+
+def root_to_reflection(r):
+    """The geometric reflection of a positive real root.
+
+    A real root is a finite root a plus n*delta; it vanishes on the line
+    (a, v) = -n, so it maps to s_{a,-n}, normalized to a positive finite
+    root.  The convention is certified against word conjugation: the
+    reflection of w(b_i) equals w s_i w^{-1}.
+    """
+    if not is_positive_real_root(r):
+        raise NotRealRootError("not a positive real root: %r" % (r,))
+    n = r[0]
+    fin = _TRIPLE_TO_FINITE[(0, r[1] - n, r[2] - n)]
+    if fin in ((1, 0), (0, 1), (1, 1)):
+        return Reflection(fin, -n)
+    return Reflection((-fin[0], -fin[1]), n)
 
 
 def root_of(refl):
