@@ -5,14 +5,16 @@ For each owner w with l(w) <= 16 the file keeps one sha256[:16] per
 command over the exit code and stdout of `schubert-a2 CMD w --json`, for
 CMD in q, nrs, smooth and classify and, off the spirals, hexagon.  For
 l(w) <= 12 it keeps one more over multiplicity_table_of(w), one "x value"
-line per x in word order.  The CLI spells the identity "".
+line per x in word order.  The CLI spells the identity "".  Beside it,
+tests/data/verify.json keeps `schubert-a2 verify --suite all --max-length N
+--json` without each row's seconds, for N = 10 and 12.
 
-    python tests/make_answers.py           # rewrite tests/data/answers.json
-    python tests/make_answers.py --check   # recompute the whole file, compare
+    python tests/make_answers.py           # rewrite both files
+    python tests/make_answers.py --check   # recompute both files, compare
 
-A change that regenerates the file lists in CHANGES.md the owners whose
-digests changed and why.  The tier-1 test in test_answers.py checks the
-owners with l <= 14 and the tables with l <= 10.
+A change that regenerates a file lists in CHANGES.md the owners or rows
+that changed and why.  The tier-1 tests in test_answers.py check the
+owners with l <= 14, the tables with l <= 10 and verify at l <= 10.
 """
 
 import argparse
@@ -32,6 +34,8 @@ from schubert_a2.kumar import multiplicity_table_of  # noqa: E402
 from schubert_a2.verify import _owners  # noqa: E402
 
 PATH = ROOT / "tests" / "data" / "answers.json"
+VERIFY_PATH = ROOT / "tests" / "data" / "verify.json"
+VERIFY_BOUNDS = (10, 12)
 MAX_LENGTH = 16
 TABLE_MAX_LENGTH = 12
 COMMANDS = ("q", "nrs", "smooth", "classify")  # hexagon runs off the spirals only
@@ -69,9 +73,32 @@ def answers(max_length=MAX_LENGTH, table_max_length=TABLE_MAX_LENGTH):
     return {"max_length": max_length, "table_max_length": table_max_length, "digests": digests}
 
 
-def load():
-    with open(PATH) as fh:
+def verify_report(max_length):
+    """`schubert-a2 verify --suite all --max-length N --json` without each
+    row's seconds, the one field that depends on the host."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.run(["verify", "--suite", "all", "--max-length", str(max_length), "--json"])
+    report = json.loads(out.getvalue())
+    for row in report["results"]:
+        del row["seconds"]
+    return report
+
+
+def verify_reports():
+    """The verify report per bound in VERIFY_BOUNDS, keyed by the bound."""
+    return {str(n): verify_report(n) for n in VERIFY_BOUNDS}
+
+
+def load(path=PATH):
+    with open(path) as fh:
         return json.load(fh)
+
+
+def _dump(data, path):
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=1)
+        fh.write("\n")
 
 
 def first_difference(expected, got):
@@ -94,7 +121,8 @@ def first_difference(expected, got):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
-                        help="compare with %s instead of rewriting it" % PATH.name)
+                        help="compare with %s and %s instead of rewriting them"
+                        % (PATH.name, VERIFY_PATH.name))
     args = parser.parse_args(argv)
     if args.check:
         expected = load()
@@ -103,12 +131,15 @@ def main(argv=None):
             diff = first_difference(expected, got) or "the stored owners are not the recomputed ones"
             print(diff, file=sys.stderr)
             return 1
-        print("answers match: %d owners, %d tables"
-              % (len(got["digests"]["q"]), len(got["digests"]["table"])))
+        reports = verify_reports()
+        if reports != load(VERIFY_PATH):
+            print("verify --suite all --json differs from %s" % VERIFY_PATH.name, file=sys.stderr)
+            return 1
+        print("answers match: %d owners, %d tables, verify at l <= %s"
+              % (len(got["digests"]["q"]), len(got["digests"]["table"]), ", ".join(reports)))
         return 0
-    with open(PATH, "w") as fh:
-        json.dump(answers(), fh, indent=1)
-        fh.write("\n")
+    _dump(answers(), PATH)
+    _dump(verify_reports(), VERIFY_PATH)
     return 0
 
 
