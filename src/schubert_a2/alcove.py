@@ -141,26 +141,35 @@ _FIN_Q0 = tuple(_mat_vec(pm, Q0) for pm in _FIN_PMATS)
 # _FIN_SLABS[f] plus 9 * l1, 9 * l0 and 9 * (l0 - l1).
 _FIN_SLABS = tuple((x + 2 * y, 2 * x + y, x - y) for x, y in _FIN_Q0)
 
+# Each finite part's matrix as a flat (m00, m01, m10, m11).
+_FIN_FLAT = tuple((a, b, c, d) for (a, b), (c, d) in _FIN_MATS)
+
+_new = tuple.__new__
+
 
 class AffineElement(NamedTuple):
-    """Element w = t(lam) * f of the affine Weyl group."""
+    """Element w = t(lam) * f of the affine Weyl group.
+
+    The products below build their result with _new, one tuple.__new__
+    call, rather than through NamedTuple's Python-level __new__.
+    """
 
     lam: tuple
     fin: int
 
     def __mul__(self, other):
-        m = _FIN_MATS[self.fin]
-        shifted = _mat_vec(m, other.lam)
-        return AffineElement(
-            (self.lam[0] + shifted[0], self.lam[1] + shifted[1]),
-            _FIN_MUL[self.fin][other.fin],
-        )
+        (l0, l1), f = self
+        (k0, k1), g = other
+        m00, m01, m10, m11 = _FIN_FLAT[f]
+        return _new(AffineElement, (
+            (l0 + m00 * k0 + m01 * k1, l1 + m10 * k0 + m11 * k1), _FIN_MUL[f][g]
+        ))
 
     def inverse(self):
-        fi = _FIN_INV[self.fin]
-        m = _FIN_MATS[fi]
-        shifted = _mat_vec(m, self.lam)
-        return AffineElement((-shifted[0], -shifted[1]), fi)
+        (l0, l1), f = self
+        fi = _FIN_INV[f]
+        m00, m01, m10, m11 = _FIN_FLAT[fi]
+        return _new(AffineElement, ((-m00 * l0 - m01 * l1, -m10 * l0 - m11 * l1), fi))
 
     def center(self):
         """The image of Q0 under w, with the finite part read from _FIN_Q0."""
@@ -229,7 +238,7 @@ def element_from_center(point):
         dx, dy = point[0] - base[0], point[1] - base[1]
         # invert 3*G: lam = (2dx + dy, dx + 2dy)/9
         if (2 * dx + dy) % 9 == 0 and (dx + 2 * dy) % 9 == 0:
-            w = AffineElement(((2 * dx + dy) // 9, (dx + 2 * dy) // 9), fin)
+            w = _new(AffineElement, (((2 * dx + dy) // 9, (dx + 2 * dy) // 9), fin))
             if w.center() == point:
                 return _ELEMENTS.setdefault(point, w)
     raise AssertionError("no element for center %r" % (point,))
@@ -281,6 +290,13 @@ def _build_walls():
 
 
 _FIN_WALL = _build_walls()
+
+# _RIGHT_STEP[f][i] = (dl0, dl1, g): w * s_i = t(l0 + dl0, l1 + dl1) * g for
+# every w = t(l0, l1) * f, since f * s_i = t(dl0, dl1) * g.
+_RIGHT_STEP = tuple(
+    tuple((*zs.lam, zs.fin) for zs in (AffineElement((0, 0), f) * s for s in SIMPLES))
+    for f in range(6)
+)
 
 
 def descents(w):
@@ -604,16 +620,17 @@ def spiral_factorizations(w):
         raise SpiralInputError("spiral element: %s" % display_word(w))
     n = length(w)
     results = []
-    for pattern in _CHAMBER_BOUNDARY_PATTERNS[chamber_of(w)]:
-        best = None
+    for i, j in _CHAMBER_BOUNDARY_PATTERNS[chamber_of(w)]:
+        cycle = (SIMPLES[i], SIMPLES[j], SIMPLES[3 - i - j])
+        u, best = E, None
         for m in range(1, n):
-            u = spiral_element(pattern, m)
+            u = u * cycle[(m - 1) % 3]  # spiral_element((i, j), m)
             v = u.inverse() * w
             if length(u) + length(v) != n or length(u) != m:
                 break
             best = (u, v)
         assert best is not None and is_spiral(best[1]), (
-            "no spiral factorization of %s along %r" % (w, pattern)
+            "no spiral factorization of %s along %r" % (w, (i, j))
         )
         results.append(best)
     return results

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from .alcove import (
     _FIN_MATS,
+    _RIGHT_STEP,
+    _new,
     E,
     POSITIVE_ROOTS,
     SIMPLES,
@@ -58,7 +60,8 @@ def simple_root_action(i, r):
 def _build_step():
     """_STEP[f][i] = (dl0, dl1, g, f(b_i), u, v) per finite part f and letter i.
 
-    z * s_i = t(l0 + dl0, l1 + dl1) * g for every z = t(l0, l1) * f.  f fixes
+    z * s_i = t(l0 + dl0, l1 + dl1) * g for every z = t(l0, l1) * f, as in
+    alcove._RIGHT_STEP, which the first three entries extend.  f fixes
     delta and moves the finite part of b_i by its matrix, to p * a1 + q * a2.
     A translation acts by t(lam)(alpha + n * delta) = alpha + (n - <lam, alpha>)
     * delta (Kac, Infinite-dimensional Lie Algebras, 6.5), and the pairing
@@ -66,25 +69,16 @@ def _build_step():
     v = 2q - p; so z(b_i) = f(b_i) - (u * l0 + v * l1) * (1, 1, 1).
     """
     table = []
-    for f, ((m00, m01), (m10, m11)) in enumerate(_FIN_MATS):
+    for ((m00, m01), (m10, m11)), steps in zip(_FIN_MATS, _RIGHT_STEP):
         row = []
-        for s, (n, c1, c2) in zip(SIMPLES, BETA):
+        for step, (n, c1, c2) in zip(steps, BETA):
             p, q = m00 * (c1 - n) + m01 * (c2 - n), m10 * (c1 - n) + m11 * (c2 - n)
-            zs = AffineElement((0, 0), f) * s
-            row.append((*zs.lam, zs.fin, (n, n + p, n + q), 2 * p - q, 2 * q - p))
+            row.append((*step, (n, n + p, n + q), 2 * p - q, 2 * q - p))
         table.append(tuple(row))
     return tuple(table)
 
 
 _STEP = _build_step()
-
-
-def element_root_action(w, r):
-    """Image of an affine root triple under w = t(l0, l1) * f: the sum of
-    r_j * w(b_j), each w(b_j) read off _STEP[f][j] as in _extend."""
-    (l0, l1), f = w
-    k = sum(rj * (u * l0 + v * l1) for rj, (*_, u, v) in zip(r, _STEP[f]))
-    return tuple(sum(rj * row[3][m] for rj, row in zip(r, _STEP[f])) - k for m in range(3))
 
 
 def _level_root(d, k):
@@ -154,7 +148,7 @@ def _extend(table, i):
             continue
         (l0, l1), f = z
         d0, d1, g, (a, b, c), u, v = steps[f]
-        zs = AffineElement((l0 + d0, l1 + d1), g)
+        zs = _new(AffineElement, ((l0 + d0, l1 + d1), g))
         k = u * l0 + v * l1  # (z * s_i)(b_i) = -z(b_i) = k * (1, 1, 1) - f(b_i)
         new[z], new[zs] = total.sum_divided_by_form(table.get(zs), (k - a, k - b, k - c))
     return new
@@ -305,7 +299,10 @@ def setup_move_check(w, x, i, side="right", psi=None):
         psi = psi_set(w, x)
     e_small = equivariant_multiplicity(w, x)
     if side == "right":
-        extra = element_root_action(x, BETA[i])
+        (l0, l1), f = x
+        _, _, _, (a, b, c), u, v = _STEP[f][i]
+        k = u * l0 + v * l1
+        extra = (a - k, b - k, c - k)  # x(b_i), as in _extend
         expected_psi = psi
     else:
         extra = BETA[i]

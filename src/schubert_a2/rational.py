@@ -326,21 +326,26 @@ class RationalNF:
         as a Weyl group element does (the left Setup Move applies a simple
         reflection).  An automorphism maps a form that does not divide the
         numerator to one that does not divide its image, so the value stays
-        cancelled and is not normalized again.  Each power b_i^k is expanded
-        once per call; denominator signs move to the numerator.
+        cancelled and is not normalized again.  Denominator signs move to
+        the numerator.  A constant numerator is its own image; otherwise
+        each power b_i^k is expanded once per call.
         """
+        (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = images
         sign = 1
         den = []
-        columns = tuple(zip(*images))
         for a, b, c in self.den:
             img, s = _positive_form(
-                tuple(a * x + b * y + c * z for x, y, z in columns)
+                (a * x0 + b * y0 + c * z0, a * x1 + b * y1 + c * z1, a * x2 + b * y2 + c * z2)
             )
             sign *= s
             den.append(img)
+        den.sort()
+        num = self.num
+        if len(num) == 1 and ZERO_EXP in num:
+            return _nf({ZERO_EXP: sign * num[ZERO_EXP]}, tuple(den))
         powers = ([p_const(1)], [p_const(1)], [p_const(1)])
-        num = {}
-        for e, c in self.num.items():
+        out = {}
+        for e, c in num.items():
             term = p_const(c * sign)
             for i, k in enumerate(e):
                 if k:
@@ -348,8 +353,8 @@ class RationalNF:
                     while len(pw) <= k:
                         pw.append(p_mul_form(pw[-1], images[i]))
                     term = p_mul(term, pw[k])
-            num = p_add(num, term)
-        return _nf(num, tuple(sorted(den)))
+            out = p_add(out, term)
+        return _nf(out, tuple(den))
 
     def __str__(self):
         num = self.num

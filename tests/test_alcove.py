@@ -146,6 +146,36 @@ def test_center_is_the_image_of_q0():
         assert w.center() == act(w, Q0), format_word(w)
 
 
+def test_products_match_the_matrix_reference():
+    """u * v for every pair with l(u), l(v) <= 6, and inverse on the same
+    elements, against walk.product and walk.inverse, which go through the
+    finite part's nested matrix and AffineElement's own constructor."""
+    elements = [w for w in ELEMENTS_12 if length(w) <= 6]
+    assert len(elements) == 64
+    for u in elements:
+        inv = u.inverse()
+        assert type(inv) is AffineElement and inv == walk.inverse(u), format_word(u)
+        assert (inv.lam, inv.fin) == tuple(walk.inverse(u))
+        for v in elements:
+            uv = u * v
+            assert type(uv) is AffineElement and uv == walk.product(u, v), (u, v)
+            assert hash(uv) == hash(walk.product(u, v))
+
+
+def test_right_step_table_matches_the_products():
+    """alcove._RIGHT_STEP[f][i] gives w * s_i for every finite part f at
+    translations (l0, l1) in [-3, 3]^2, against the product and the matrix
+    reference."""
+    for f in range(6):
+        for l0 in range(-3, 4):
+            for l1 in range(-3, 4):
+                w = AffineElement((l0, l1), f)
+                for i, s in enumerate(SIMPLES):
+                    d0, d1, g = alcove._RIGHT_STEP[f][i]
+                    stepped = AffineElement((l0 + d0, l1 + d1), g)
+                    assert stepped == w * s == walk.product(w, s), (w, i)
+
+
 def test_centers_are_the_two_residue_classes():
     for w in ELEMENTS_12[:400]:
         c = w.center()
@@ -403,7 +433,15 @@ def test_spiral_factorizations():
             continue
         pairs = spiral_factorizations(w)
         assert len(pairs) == 2
-        for u, v in pairs:
+        patterns = alcove._CHAMBER_BOUNDARY_PATTERNS[chamber_of(w)]
+        for (u, v), pattern in zip(pairs, patterns):
+            # u is the longest spiral_element(pattern, m), m < l(w), whose
+            # lengths add up with u^-1 * w, as for every shorter m
+            m = length(u)
+            assert u == spiral_element(pattern, m), format_word(w)
+            if m + 1 < length(w):
+                longer = spiral_element(pattern, m + 1)
+                assert length(longer) + length(longer.inverse() * w) != length(w)
             assert u * v == w
             assert is_spiral(u) and is_spiral(v)
             assert length(u) + length(v) == length(w)

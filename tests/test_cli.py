@@ -9,6 +9,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from schubert_a2 import kumar
+from schubert_a2.alcove import parse_word
 from schubert_a2.cli import run
 
 
@@ -86,6 +88,19 @@ def test_nrs_and_smooth(capture):
 def test_mult(capture):
     code, out, _ = capture("mult", "0121", "0121")
     assert code == 0 and "smooth: true" in out
+
+
+def test_mult_reads_the_multiplicity_once(capture, monkeypatch):
+    """`mult` reads the owner's memoized table once and takes smooth from
+    that value, with kumar_smooth's answer."""
+    w, x = parse_word("01210120"), parse_word("0121")
+    expected = kumar.kumar_smooth(w, x)  # also fills the table memo
+    reads = []
+    table_of = kumar.multiplicity_table_of
+    monkeypatch.setattr(kumar, "multiplicity_table_of", lambda w: reads.append(w) or table_of(w))
+    code, out, _ = capture("mult", "01210120", "0121", "--json")
+    assert code == 0 and reads == [w]
+    assert json.loads(out)["smooth"] is expected is False
 
 
 def test_enumerate(capture):

@@ -29,7 +29,6 @@ from schubert_a2.kumar import (
     _STEP,
     _extend,
     _level_root,
-    element_root_action,
     equivariant_multiplicity,
     kumar_smooth,
     kumar_smooth_set,
@@ -46,7 +45,13 @@ from schubert_a2.memos import MEMOS
 from schubert_a2.qstat import NotComparableError, q_brute
 from schubert_a2.rational import RationalNF, p_const
 import walk
-from walk import NotRealRootError, is_positive_real_root, is_real_root, root_to_reflection
+from walk import (
+    NotRealRootError,
+    element_root_action,
+    is_positive_real_root,
+    is_real_root,
+    root_to_reflection,
+)
 
 ELEMENTS = sorted(elements_of_length_at_most(7), key=lambda w: (length(w), format_word(w)))
 

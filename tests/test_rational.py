@@ -23,15 +23,18 @@ from schubert_a2.kumar import (
 )
 from schubert_a2.loci import elements_of_length_at_most
 from schubert_a2.rational import (
+    ZERO_EXP,
     RationalNF,
     _cancel,
     _division_plan,
+    _positive_form,
     form_poly,
     p_const,
     p_div_form,
     p_mul,
     p_neg,
 )
+import walk
 from walk import is_positive_real_root
 
 # alpha + n*delta for the finite roots alpha = b1, b2, b1 + b2
@@ -101,6 +104,28 @@ def assert_cancelled(v):
         assert v.den == ()
     for f in set(v.den):
         assert not vanishes_on_hyperplane(v.num, f), (v, f)
+
+
+def test_substituted_matches_the_power_expansion_reference():
+    """On every table entry with l <= 9, constant numerators and others,
+    under each simple reflection and the letter rotation b0 -> b1 -> b2 ->
+    b0, substituted() gives walk.substituted's num and den: the reference
+    expands every term, constants included, and maps each form through
+    the images' columns.  The reflections flip the sign of some forms."""
+    images = [[simple_root_action(i, b) for b in BETA] for i in range(3)]
+    images.append([(0, 1, 0), (0, 0, 1), (1, 0, 0)])
+    kinds = {"constant": 0, "other": 0, "flipped": 0}
+    for w in elements_of_length_at_most(9):
+        for v in multiplicity_table_of(w).values():
+            kinds["constant" if list(v.num) == [ZERO_EXP] else "other"] += 1
+            for im in images:
+                moved, expected = v.substituted(im), walk.substituted(v, im)
+                assert (moved.num, moved.den) == (expected.num, expected.den), (w, v, im)
+                kinds["flipped"] += any(
+                    _positive_form(tuple(sum(c * x for c, x in zip(f, col)) for col in zip(*im)))[1] < 0
+                    for f in v.den
+                )
+    assert kinds["constant"] > 3000 and kinds["other"] > 1000 and kinds["flipped"] > 1000, kinds
 
 
 def test_roots_are_positive_real_roots():

@@ -55,6 +55,17 @@ reference for the word memo of alcove.format_word and format_words.
 
 base4_blue is the reference for the blue segments of
 qstat._base4_geometry: it scans the interval once per segment.
+
+product and inverse are the reference for AffineElement's products: the
+finite part's matrix as nested rows through alcove._mat_vec, each result
+built by AffineElement's own constructor.
+
+element_root_action is the image of any affine root triple under w, the
+sum of r_j * w(b_j) with each w(b_j) read off kumar._STEP as in _extend.
+
+substituted is the reference for RationalNF.substituted: every numerator
+term, constants included, goes through the power expansion, and each
+denominator form is mapped through the images' columns.
 """
 
 import functools
@@ -64,8 +75,13 @@ from schubert_a2.alcove import (
     POSITIVE_ROOTS,
     SIMPLES,
     SIMPLE_INDICES,
+    _FIN_INV,
+    _FIN_MATS,
+    _FIN_MUL,
     _FIN_PMATS,
+    AffineElement,
     Reflection,
+    _mat_vec,
     element_from_center,
     is_center,
     length,
@@ -81,9 +97,17 @@ from schubert_a2.bruhat import (
     string_direction,
     trans,
 )
-from schubert_a2.kumar import BETA, simple_root_action
+from schubert_a2.kumar import _STEP as _ROOT_STEP, BETA, simple_root_action
 from schubert_a2.qstat import q_brute
-from schubert_a2.rational import RationalNF
+from schubert_a2.rational import (
+    RationalNF,
+    _nf,
+    _positive_form,
+    p_add,
+    p_const,
+    p_mul,
+    p_mul_form,
+)
 
 # Change of the scaled coordinate pair for one center-to-center step along a
 # string in direction d: alternately one third and two thirds of a root.
@@ -370,3 +394,51 @@ def multiplicity_table(word):
     if len(word) % 2:
         states = {x: -v for x, v in states.items()}
     return states
+
+
+def product(u, v):
+    """u * v for u = t(lam) * f: t(lam + f(lam')) * (f * f')."""
+    shifted = _mat_vec(_FIN_MATS[u.fin], v.lam)
+    return AffineElement(
+        (u.lam[0] + shifted[0], u.lam[1] + shifted[1]), _FIN_MUL[u.fin][v.fin]
+    )
+
+
+def inverse(w):
+    """w^-1 = t(-f^-1(lam)) * f^-1 for w = t(lam) * f."""
+    fi = _FIN_INV[w.fin]
+    shifted = _mat_vec(_FIN_MATS[fi], w.lam)
+    return AffineElement((-shifted[0], -shifted[1]), fi)
+
+
+def element_root_action(w, r):
+    """Image of an affine root triple under w = t(l0, l1) * f: the sum of
+    r_j * w(b_j), each w(b_j) read off kumar._STEP[f][j] as in _extend."""
+    (l0, l1), f = w
+    k = sum(rj * (u * l0 + v * l1) for rj, (*_, u, v) in zip(r, _ROOT_STEP[f]))
+    return tuple(sum(rj * row[3][m] for rj, row in zip(r, _ROOT_STEP[f])) - k for m in range(3))
+
+
+def substituted(value, images):
+    """value with b_i -> images[i]: each denominator form through the
+    images' columns, its sign moved to the numerator, and every numerator
+    term expanded through the powers of the images."""
+    sign = 1
+    den = []
+    columns = tuple(zip(*images))
+    for a, b, c in value.den:
+        img, s = _positive_form(tuple(a * x + b * y + c * z for x, y, z in columns))
+        sign *= s
+        den.append(img)
+    powers = ([p_const(1)], [p_const(1)], [p_const(1)])
+    num = {}
+    for e, c in value.num.items():
+        term = p_const(c * sign)
+        for i, k in enumerate(e):
+            if k:
+                pw = powers[i]
+                while len(pw) <= k:
+                    pw.append(p_mul_form(pw[-1], images[i]))
+                term = p_mul(term, pw[k])
+        num = p_add(num, term)
+    return _nf(num, tuple(sorted(den)))
