@@ -131,9 +131,11 @@ def main(argv=None):
             diff = first_difference(expected, got) or "the stored owners are not the recomputed ones"
             print(diff, file=sys.stderr)
             return 1
-        reports = verify_reports()
-        if reports != load(VERIFY_PATH):
-            print("verify --suite all --json differs from %s" % VERIFY_PATH.name, file=sys.stderr)
+        reports, stored = verify_reports(), load(VERIFY_PATH)
+        if reports != stored:
+            bound = next((n for n in reports if reports[n] != stored.get(n)), "the stored bounds")
+            print("verify --suite all --max-length %s --json differs from %s"
+                  % (bound, VERIFY_PATH.name), file=sys.stderr)
             return 1
         print("answers match: %d owners, %d tables, verify at l <= %s"
               % (len(got["digests"]["q"]), len(got["digests"]["table"]), ", ".join(reports)))
