@@ -1,12 +1,14 @@
-"""Paired A/B benchmark of two commits, each run from its committed files.
+"""Paired A/B benchmark of HEAD against a parent commit.
 
-    python scripts/ab.py --parent REV --workload mult --pairs 10 --seconds 20 --out BENCH.json
+    python scripts/ab.py --parent REV --workload mult --pairs 10 --out BENCH.json
 
-Both commits' trees are written with `git archive` into one temporary
-directory, so uncommitted edits take no part and nothing is fetched.  For
-each pair, each side runs `bench/run.py --workload W --seconds S --trace 0`
-from its own tree; the side that runs first alternates from pair to pair,
-so a drift in host speed falls on both sides alike.  --workload may be
+Both commits' committed trees are written with `git archive` into one
+temporary directory, so uncommitted edits take no part and nothing is
+fetched; to measure another commit, check it out first.  For each pair,
+each side runs `bench/run.py --workload W --seconds S --trace 0` from its
+own tree, S being BENCHMARK.json's run_seconds unless --seconds is given;
+the side that runs first alternates from pair to pair, so a drift in host
+speed falls on both sides alike.  --workload may be
 given more than once; every pair of every workload runs before the next
 workload starts.
 
@@ -32,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sweep", "mult", "queries")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def git(*args):
@@ -89,16 +92,15 @@ def summarize(parent_runs, change_runs, metrics):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="the commit to compare against")
-    parser.add_argument("--change", default="HEAD", help="the commit measured (default HEAD)")
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="may repeat; default all three")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     parser.add_argument("--out", required=True, help="the JSON file to write")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
-    commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
+    commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", "HEAD")}
     workloads = args.workload or list(WORKLOADS)
     report = {
         "host": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
@@ -115,7 +117,7 @@ def main(argv=None):
         for side, commit in commits.items():
             trees[side] = tmp / side
             build_tree(commit, trees[side])
-        metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+        metrics = BENCHMARK["end_to_end"]
         for workload in workloads:
             runs = {"parent": [], "change": []}
             for k in range(args.pairs):

@@ -42,11 +42,8 @@ from typing import NamedTuple
 
 from .alcove import (
     _FIN_SLABS,
-    _RIGHT_STEP,
-    _new,
     E,
     POSITIVE_ROOTS,
-    AffineElement,
     Reflection,
     SIMPLES,
     SpiralInputError,
@@ -296,17 +293,11 @@ def leq_oracle(x, w):
 
 
 def oracle_interval(w):
-    """All x <= w, computed as products of subexpressions of a reduced word:
-    each letter i adds z * s_i for every z reached, read off the group's
-    right-step table alcove._RIGHT_STEP."""
+    """All x <= w, computed as products of subexpressions of a reduced word."""
     reachable = {E}
     for i in element_to_word(w):
-        steps = [row[i] for row in _RIGHT_STEP]
-        grown = set()
-        for (l0, l1), f in reachable:
-            d0, d1, g = steps[f]
-            grown.add(_new(AffineElement, ((l0 + d0, l1 + d1), g)))
-        reachable |= grown
+        s = SIMPLES[i]
+        reachable |= {z * s for z in reachable}
     return reachable
 
 

@@ -19,7 +19,7 @@ from .alcove import (
     parse_word,
 )
 from .bruhat import NotComparableError, hexagon, hexagon_to_dict, leq, leq_oracle, require_below
-from .kumar import equivariant_multiplicity, smoothness_target
+from .kumar import equivariant_multiplicity, passes_kumar_test
 from .loci import enumerate_smooth_varieties, locus_report
 from .memos import memo
 from .qstat import q_table, q_value
@@ -176,7 +176,7 @@ def _cmd_mult(args):
     x = parse_word(args.x)
     require_below(x, w)
     value = equivariant_multiplicity(w, x)
-    smooth = value == smoothness_target(w, x)  # kumar_smooth, from the value read
+    smooth = passes_kumar_test(w, x, value)
     _emit(args, {"w": args.w, "x": args.x, "multiplicity": str(value), "smooth": smooth},
           ["multiplicity: %s" % value, "smooth: %s" % _fmt_bool(smooth)])
     return EXIT_OK

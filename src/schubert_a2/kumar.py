@@ -245,17 +245,23 @@ def smoothness_target(w, x, psi=None):
     return _nf(p_const(sign), tuple(sorted(psi)))
 
 
+def passes_kumar_test(w, x, value, psi=None):
+    """Kumar's test on the multiplicity of x in w, already read as value:
+    x is smooth exactly when value is the smoothness target."""
+    return value == smoothness_target(w, x, psi)
+
+
 def kumar_smooth(w, x):
     """Exact multiplicity test for smoothness of x in the variety of w."""
     require_below(x, w)
-    return equivariant_multiplicity(w, x) == smoothness_target(w, x)
+    return passes_kumar_test(w, x, equivariant_multiplicity(w, x))
 
 
 def kumar_smooth_set(w):
     """All x below w passing the multiplicity test, from one table pass, as
     a frozenset."""
     tab = multiplicity_table_of(w)
-    return frozenset(x for x in tab if tab[x] == smoothness_target(w, x))
+    return frozenset(x for x in tab if passes_kumar_test(w, x, tab[x]))
 
 
 # ---------------------------------------------------------------------------

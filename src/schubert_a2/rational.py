@@ -326,9 +326,8 @@ class RationalNF:
         as a Weyl group element does (the left Setup Move applies a simple
         reflection).  An automorphism maps a form that does not divide the
         numerator to one that does not divide its image, so the value stays
-        cancelled and is not normalized again.  Denominator signs move to
-        the numerator.  A constant numerator is its own image; otherwise
-        each power b_i^k is expanded once per call.
+        cancelled and is not normalized again.  Each power b_i^k is expanded
+        once per call; denominator signs move to the numerator.
         """
         (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = images
         sign = 1
@@ -339,13 +338,9 @@ class RationalNF:
             )
             sign *= s
             den.append(img)
-        den.sort()
-        num = self.num
-        if len(num) == 1 and ZERO_EXP in num:
-            return _nf({ZERO_EXP: sign * num[ZERO_EXP]}, tuple(den))
         powers = ([p_const(1)], [p_const(1)], [p_const(1)])
-        out = {}
-        for e, c in num.items():
+        num = {}
+        for e, c in self.num.items():
             term = p_const(c * sign)
             for i, k in enumerate(e):
                 if k:
@@ -353,8 +348,8 @@ class RationalNF:
                     while len(pw) <= k:
                         pw.append(p_mul_form(pw[-1], images[i]))
                     term = p_mul(term, pw[k])
-            out = p_add(out, term)
-        return _nf(out, tuple(den))
+            num = p_add(num, term)
+        return _nf(num, tuple(sorted(den)))
 
     def __str__(self):
         num = self.num

@@ -38,9 +38,9 @@ from .kumar import (
     kumar_smooth_set,
     multiplicity_table_of,
     multiplicity_tables,
+    passes_kumar_test,
     psi_set,
     setup_move_check,
-    smoothness_target,
 )
 from .loci import (
     attached_edge_lengths,
@@ -212,7 +212,7 @@ def _setup(w):
     # invariant along x -> xu for u in R(w); smoothness is the multiplicity
     # test on the memoized table, against targets from the Psi sets above.
     table = multiplicity_table_of(w)
-    smooth = {x for x in members if table[x] == smoothness_target(w, x, psi[x])}
+    smooth = {x for x in members if passes_kumar_test(w, x, table[x], psi[x])}
     tab = q_table(w)
     rw = descent_group(w)
     if not all(
